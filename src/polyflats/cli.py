@@ -1,7 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 semantic failure (axioms, conditions or round trip
-do not hold), 2 parse or input errors.
+Exit codes:
+
+* 0 success.
+* 1 semantic failure: axioms, conditions or round trip do not hold, or a
+  construction refuses its input.  Any ``ValueError`` that is not an input
+  error lands here, among them ``NotInteger``, ``RankMismatch`` and
+  ``GroundOverlap``.
+* 2 unreadable or malformed input: ``FileFormatError``, ``LatticeError``,
+  ``GroundSetMismatch``, ``BadParameters`` and ``OSError``.
 """
 
 from __future__ import annotations
@@ -13,10 +20,7 @@ from pathlib import Path
 from . import files
 from .constructions import (
     BadParameters,
-    GroundOverlap,
     InfiltrationSpec,
-    NotInteger,
-    RankMismatch,
     graphic_matroid,
     helgason_expand,
     infiltrate,
@@ -259,15 +263,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (files.FileFormatError, LatticeError, GroundSetMismatch, BadParameters) as exc:
+    except (
+        files.FileFormatError, LatticeError, GroundSetMismatch, BadParameters, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotInteger, RankMismatch, GroundOverlap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

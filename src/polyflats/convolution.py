@@ -43,33 +43,12 @@ def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
     return SetFunction(lattice.ground, values)
 
 
-def convolution_argmin(lattice: RankedLattice, mu: Measure, subset: int) -> int:
-    """Lowest-index member achieving the minimum for ``subset``."""
-    if mu.ground.names != lattice.ground.names:
-        raise GroundSetMismatch("measure and lattice use different ground sets")
-    lattice.ground.check_mask(subset)
-    table = mu.table()
-    best_mask = lattice.members[0]
-    best = lattice.ranks[0] + table[subset & ~best_mask]
-    for m, rank in lattice.items():
-        value = rank + table[subset & ~m]
-        if value < best:
-            best, best_mask = value, m
-    return best_mask
-
-
-def convolution_singleton_profile(lattice: RankedLattice, mu: Measure) -> dict[str, Fraction]:
-    """Map each ground element to the convolution value of its singleton."""
-    r = convolve(lattice, mu)
-    return {name: r.values[1 << i] for i, name in enumerate(lattice.ground.names)}
-
-
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
     """Two-lattice convolution; both lattices must share one ground set.
 
-    The result lives on the union of the two tops (restricted to a smaller
-    ground set when that union does not exhaust the shared one), since only
-    subsets of that union can be covered.
+    The result lives on the union of the two tops, restricted to those
+    elements in ground-set order, since only subsets of that union can be
+    covered.
     """
     if first.ground.names != second.ground.names:
         raise GroundSetMismatch("two-lattice convolution needs a shared ground set")
@@ -81,12 +60,6 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
         for m1, r1 in first.items()
         for m2, r2 in second.items()
     ]
-
-    if cover == source.full:
-        values = [
-            min(s for u, s in pairs if a & ~u == 0) for a in source.subsets()
-        ]
-        return SetFunction(source, values)
 
     keep = list(bits(cover))
     ground = GroundSet(tuple(source.names[i] for i in keep))

@@ -41,6 +41,11 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise FileFormatError(f"bad rational {text!r}: zero denominator") from None
+    except ValueError:
+        # int() refuses digit strings beyond sys.get_int_max_str_digits()
+        raise FileFormatError(
+            f"bad rational of {len(text)} characters: too many digits"
+        ) from None
 
 
 def subset_key(ground: GroundSet, mask: int) -> str:
@@ -81,8 +86,9 @@ def _ground_from_doc(doc) -> GroundSet:
         raise FileFormatError(str(exc)) from None
 
 
-def _ordered_masks(ground: GroundSet):
-    return sorted(ground.subsets(), key=lambda m: (m.bit_count(), ground.sorted_labels(m)))
+def _ordered(ground: GroundSet, masks) -> list[int]:
+    """The file order: by cardinality, then by sorted labels."""
+    return sorted(masks, key=lambda m: (m.bit_count(), ground.sorted_labels(m)))
 
 
 def polymatroid_to_doc(f: SetFunction) -> dict:
@@ -91,7 +97,7 @@ def polymatroid_to_doc(f: SetFunction) -> dict:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
     rank = {
         subset_key(f.ground, m): format_rational(f.values[m])
-        for m in _ordered_masks(f.ground)
+        for m in _ordered(f.ground, f.ground.subsets())
     }
     return {"ground": list(f.ground.names), "rank": rank}
 
@@ -107,7 +113,7 @@ def polymatroid_from_doc(doc) -> SetFunction:
         if values[mask] is not None:
             raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
         values[mask] = parse_rational(text)
-    for m in _ordered_masks(ground):
+    for m in _ordered(ground, ground.subsets()):
         if values[m] is None:
             raise FileFormatError(f"missing subset {subset_key(ground, m)!r}")
     return SetFunction(ground, values)
@@ -117,17 +123,15 @@ def lattice_to_doc(lattice: RankedLattice) -> dict:
     for label in lattice.ground.names:
         if "," in label:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
-    ordered = sorted(
-        lattice.items(), key=lambda mr: (mr[0].bit_count(), lattice.ground.sorted_labels(mr[0]))
-    )
+    ground = lattice.ground
     return {
-        "ground": list(lattice.ground.names),
+        "ground": list(ground.names),
         "elements": [
             {
-                "set": list(lattice.ground.sorted_labels(m)),
-                "rank": format_rational(r),
+                "set": list(ground.sorted_labels(m)),
+                "rank": format_rational(lattice.rank_of(m)),
             }
-            for m, r in ordered
+            for m in _ordered(ground, lattice.members)
         ],
     }
 
@@ -205,7 +209,8 @@ def _load(path) -> dict:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number literal with too many digits
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -236,13 +241,12 @@ def write_measure(mu: Measure, path) -> None:
 def lattice_dot(lattice: RankedLattice) -> str:
     """Hasse diagram in DOT, nodes ordered by (cardinality, labels)."""
     ground = lattice.ground
-    ordered = sorted(
-        lattice.members, key=lambda m: (m.bit_count(), ground.sorted_labels(m))
-    )
+    ordered = _ordered(ground, lattice.members)
     node_id = {m: i for i, m in enumerate(ordered)}
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for m in ordered:
-        label = f"{ground.describe(m)}\\n{format_rational(lattice.rank_of(m))}"
+        name = ground.describe(m).replace("\\", "\\\\").replace('"', '\\"')
+        label = f"{name}\\n{format_rational(lattice.rank_of(m))}"
         lines.append(f'  n{node_id[m]} [label="{label}"];')
     for low in ordered:
         for high in ordered:

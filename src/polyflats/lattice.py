@@ -82,9 +82,6 @@ class RankedLattice:
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return zip(self.members, self.ranks)
 
-    def as_pairs(self) -> frozenset[tuple[int, Fraction]]:
-        return frozenset(self.items())
-
     def _require(self, mask: int) -> int:
         idx = self._index.get(mask)
         if idx is None:
@@ -289,38 +286,37 @@ def _check_c1(lattice: RankedLattice) -> Verdict:
     )
 
 
-def _nested_pairs(lattice: RankedLattice) -> Iterator[tuple[int, int]]:
-    k = len(lattice.members)
+def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
+    """C2 and C* in one scan over the nested pairs Zi inside Zj.
+
+    Members are distinct and ordered by cardinality, so nesting forces
+    i < j; each condition keeps its own first failing pair.  A C2 failure
+    is also a C* failure, so the scan ends at the first C2 witness.
+    """
+    members, ranks = lattice.members, lattice.ranks
+    cstar = None
+    k = len(members)
     for i in range(k):
-        for j in range(k):
-            if i != j and lattice.members[i] & ~lattice.members[j] == 0:
-                yield i, j
-
-
-def _check_c2(lattice: RankedLattice, mu_table) -> Verdict:
-    for i, j in _nested_pairs(lattice):
-        z1, z2 = lattice.members[i], lattice.members[j]
-        diff = lattice.ranks[j] - lattice.ranks[i]
-        if diff < 0:
-            return Verdict(False, Witness("C2", (z1, z2), diff, ">=", Fraction(0)))
-        gap = mu_table[z2 & ~z1]
-        if diff > gap:
-            return Verdict(False, Witness("C2", (z1, z2), diff, "<=", gap))
-    return Verdict(True)
-
-
-def _check_cstar(lattice: RankedLattice, mu_table) -> Verdict:
-    for i, j in _nested_pairs(lattice):
-        z1, z2 = lattice.members[i], lattice.members[j]
-        if z1 == z2:
-            continue
-        diff = lattice.ranks[j] - lattice.ranks[i]
-        if diff <= 0:
-            return Verdict(False, Witness("C*", (z1, z2), diff, ">", Fraction(0)))
-        gap = mu_table[z2 & ~z1]
-        if diff >= gap:
-            return Verdict(False, Witness("C*", (z1, z2), diff, "<", gap))
-    return Verdict(True)
+        z1 = members[i]
+        for j in range(i + 1, k):
+            z2 = members[j]
+            if z1 & ~z2:
+                continue
+            diff = ranks[j] - ranks[i]
+            gap = mu_table[z2 & ~z1]
+            if cstar is None:
+                if diff <= 0:
+                    cstar = Witness("C*", (z1, z2), diff, ">", Fraction(0))
+                elif diff >= gap:
+                    cstar = Witness("C*", (z1, z2), diff, "<", gap)
+            if diff < 0:
+                c2 = Witness("C2", (z1, z2), diff, ">=", Fraction(0))
+            elif diff > gap:
+                c2 = Witness("C2", (z1, z2), diff, "<=", gap)
+            else:
+                continue
+            return Verdict(False, c2), Verdict(False, cstar)
+    return Verdict(True), Verdict(cstar is None, cstar)
 
 
 def _check_c3(lattice: RankedLattice, mu_table) -> Verdict:
@@ -331,13 +327,12 @@ def _check_c3(lattice: RankedLattice, mu_table) -> Verdict:
     for i in range(k):
         for j in range(i + 1, k):
             z1, z2 = lattice.members[i], lattice.members[j]
-            meet_m = lattice.members[lattice._meet[i][j]]
-            join_m = lattice.members[lattice._join[i][j]]
+            meet, join = lattice._meet[i][j], lattice._join[i][j]
             left = lattice.ranks[i] + lattice.ranks[j]
             right = (
-                lattice.rank_of(join_m)
-                + lattice.rank_of(meet_m)
-                + mu_table[(z1 & z2) & ~meet_m]
+                lattice.ranks[join]
+                + lattice.ranks[meet]
+                + mu_table[(z1 & z2) & ~lattice.members[meet]]
             )
             if left < right:
                 return Verdict(False, Witness("C3", (z1, z2), left, ">=", right))
@@ -387,10 +382,11 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
     mu_table = mu.table()
+    c2, cstar = _check_nested(lattice, mu_table)
     return ConditionReport(
         c1=_check_c1(lattice),
-        c2=_check_c2(lattice, mu_table),
-        cstar=_check_cstar(lattice, mu_table),
+        c2=c2,
+        cstar=cstar,
         c3=_check_c3(lattice, mu_table),
         c4=_check_c4(lattice, mu),
         c5a=_check_c5a(lattice),

@@ -141,12 +141,6 @@ class SetFunction:
     def __call__(self, subset: int) -> Fraction:
         return self.values[self.ground.check_mask(subset)]
 
-    def conditional(self, inner: int, given: int) -> Fraction:
-        """Rank of ``inner`` on top of ``given``: f(inner | given) - f(given)."""
-        self.ground.check_mask(inner)
-        self.ground.check_mask(given)
-        return self.values[inner | given] - self.values[given]
-
     def singletons(self) -> tuple[Fraction, ...]:
         return tuple(self.values[1 << i] for i in range(self.ground.n))
 
@@ -193,9 +187,6 @@ class Measure:
 
     def __call__(self, subset: int) -> Fraction:
         return self.table()[self.ground.check_mask(subset)]
-
-    def of_index(self, i: int) -> Fraction:
-        return self.singleton[i]
 
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for v in self.singleton)

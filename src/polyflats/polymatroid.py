@@ -10,7 +10,6 @@ polymatroid they always form a lattice under inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import RankedLattice, validate_lattice
 from .model import Measure, SetFunction, bits, induced_measure
@@ -115,19 +114,6 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
         is_matroid=is_matroid,
         witness=w_nonneg or w_mono or w_sub,
     )
-
-
-def submodular_pairwise_witness(f: SetFunction) -> tuple[int, int] | None:
-    """First pair (A, B) with f(A) + f(B) < f(A|B) + f(A&B), if any.
-
-    Quadratic in the table size; kept as the reference form that the local
-    exchange scan must agree with.
-    """
-    for a in f.ground.subsets():
-        for b in f.ground.subsets():
-            if f.values[a] + f.values[b] < f.values[a | b] + f.values[a & b]:
-                return (a, b)
-    return None
 
 
 def loops(f: SetFunction) -> int:
@@ -249,7 +235,3 @@ def reconstruction_failure(f: SetFunction) -> int | None:
             return a
     return None
 
-
-def reconstruct_check(f: SetFunction) -> bool:
-    """True when the cyclic flats plus singleton ranks rebuild f exactly."""
-    return reconstruction_failure(f) is None

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from polyflats import (
     SetFunction,
+    Verdict,
+    Witness,
     check_conditions,
     check_polymatroid,
     convolve,
@@ -94,6 +96,62 @@ def max_cyclic_flat_reversed(f: SetFunction, flat: int) -> int:
                 break
         else:
             return current
+
+
+def convolution_argmin(lattice, mu, subset: int) -> int:
+    """Lowest-index member achieving the convolution minimum for ``subset``."""
+    table = mu.table()
+    best_mask = lattice.members[0]
+    best = lattice.ranks[0] + table[subset & ~best_mask]
+    for m, rank in lattice.items():
+        value = rank + table[subset & ~m]
+        if value < best:
+            best, best_mask = value, m
+    return best_mask
+
+
+def convolution_singleton_profile(lattice, mu) -> dict[str, Fraction]:
+    """Map each ground element to the convolution value of its singleton."""
+    r = convolve(lattice, mu)
+    return {name: r.values[1 << i] for i, name in enumerate(lattice.ground.names)}
+
+
+def nested_conditions_reference(lattice, mu) -> tuple:
+    """(C2, C*) verdicts, each from its own scan over every ordered pair
+    i != j of member indices with Zi inside Zj, in index order."""
+    members, ranks, k = lattice.members, lattice.ranks, len(lattice)
+    nested = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j and members[i] & ~members[j] == 0
+    ]
+
+    def first(name, fails):
+        for i, j in nested:
+            diff = ranks[j] - ranks[i]
+            gap = mu(members[j] & ~members[i])
+            failed = fails(diff, gap)
+            if failed:
+                lhs, relation, rhs = failed
+                return Verdict(False, Witness(name, (members[i], members[j]), lhs, relation, rhs))
+        return Verdict(True)
+
+    def c2(diff, gap):
+        if diff < 0:
+            return diff, ">=", Fraction(0)
+        if diff > gap:
+            return diff, "<=", gap
+        return None
+
+    def cstar(diff, gap):
+        if diff <= 0:
+            return diff, ">", Fraction(0)
+        if diff >= gap:
+            return diff, "<", gap
+        return None
+
+    return first("C2", c2), first("C*", cstar)
 
 
 def _relation_holds(lhs, relation, rhs) -> bool:

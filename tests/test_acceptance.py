@@ -13,7 +13,6 @@ from polyflats import (
     SetFunction,
     check_conditions,
     check_polymatroid,
-    convolution_singleton_profile,
     convolve,
     cyclic_flats,
     helgason_expand,
@@ -21,7 +20,7 @@ from polyflats import (
     infiltrate,
     infiltrate_via_lattices,
     loops,
-    reconstruct_check,
+    reconstruction_failure,
     uniform_matroid,
     validate_lattice,
     verify_main_theorem,
@@ -72,7 +71,7 @@ def test_criterion_02_condition_passing_pairs_convolve_back(harvested_pairs):
 
 def test_criterion_03_reconstruction_identity(all_functions):
     for f in all_functions:
-        assert reconstruct_check(f), f"reconstruction differs for {f.values}"
+        assert reconstruction_failure(f) is None, f"reconstruction differs for {f.values}"
     print(f"criterion 03 (reconstruction identity): PASS "
           f"({len(all_functions)} polymatroids)")
 
@@ -267,7 +266,7 @@ def test_criterion_10_documented_failure_witnesses():
     report = verify_main_theorem(capped, mu52)
     w = report.conditions.c4.witness
     assert (w.subsets, w.element, w.lhs, w.relation, w.rhs) == ((0b11,), 0, 5, "<=", 3)
-    assert convolution_singleton_profile(capped, mu52) == {
+    assert _oracles.convolution_singleton_profile(capped, mu52) == {
         "x": Fraction(3),
         "y": Fraction(2),
     }

@@ -313,6 +313,53 @@ def test_infiltrate_rejects_rank_mismatch(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_infiltrate_rejects_shared_labels(tmp_path, capsys):
+    host = write_doc(
+        tmp_path / "host.json",
+        {"ground": ["m", "c"], "rank": {"": "0", "c": "1", "m": "1", "c,m": "2"}},
+    )
+    guest = write_doc(
+        tmp_path / "guest.json",
+        {"ground": ["m"], "rank": {"": "0", "m": "1"}},
+    )
+    code, _, err = invoke(capsys, "infiltrate", host, "c", guest)
+    assert code == 1
+    assert "share labels" in err
+
+
+def test_infiltrate_rejects_unknown_pivot(tmp_path, capsys):
+    host = write_doc(
+        tmp_path / "host.json",
+        {"ground": ["m", "c"], "rank": {"": "0", "c": "1", "m": "1", "c,m": "2"}},
+    )
+    guest = write_doc(
+        tmp_path / "guest.json",
+        {"ground": ["p"], "rank": {"": "0", "p": "1"}},
+    )
+    code, _, err = invoke(capsys, "infiltrate", host, "z", guest)
+    assert code == 1
+    assert "pivot" in err
+
+
+def test_oversized_rationals_are_usage_errors(tmp_path, capsys):
+    huge = "9" * 5000
+    rank_file = write_doc(
+        tmp_path / "big.json", {"ground": ["x"], "rank": {"": "0", "x": huge}}
+    )
+    code, _, err = invoke(capsys, "check", rank_file)
+    assert code == 2
+    assert "too many digits" in err
+
+    lattice = write_doc(
+        tmp_path / "lat.json",
+        {"ground": ["x"], "elements": [{"set": [], "rank": "0"}, {"set": ["x"], "rank": huge}]},
+    )
+    measure = write_doc(tmp_path / "mu.json", {"x": "1"})
+    code, _, err = invoke(capsys, "axioms", lattice, measure)
+    assert code == 2
+    assert "too many digits" in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2

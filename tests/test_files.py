@@ -50,6 +50,18 @@ def test_rational_rejects_inexact_spellings(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["7" * 5000, "-" + "7" * 5000, "1/" + "3" * 5000],
+    ids=["integer", "negative", "denominator"],
+)
+def test_rational_refuses_too_many_digits(text):
+    # beyond the interpreter's integer-string limit: a format error, not a
+    # bare ValueError
+    with pytest.raises(FileFormatError, match="too many digits"):
+        parse_rational(text)
+
+
 def test_subset_keys():
     g = GroundSet(("y", "x"))
     assert subset_key(g, 0) == ""
@@ -89,6 +101,8 @@ def test_polymatroid_doc_errors():
         polymatroid_from_doc(doc)
     with pytest.raises(FileFormatError, match="comma"):
         polymatroid_from_doc({"ground": ["a,b"], "rank": {}})
+    with pytest.raises(FileFormatError, match="too many digits"):
+        polymatroid_from_doc({"ground": ["x"], "rank": {"": "0", "x": "9" * 5000}})
 
 
 def test_polymatroid_file_round_trip_is_byte_identical(tmp_path):
@@ -174,6 +188,10 @@ def test_read_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FileFormatError, match="not valid JSON"):
         read_polymatroid(bad)
+    # a bare number literal too long for int() is refused while parsing JSON
+    bad.write_text('{"ground": [], "rank": {"": ' + "1" * 5000 + "}}", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        read_polymatroid(bad)
 
 
 def test_dumps_canonical_is_stable():
@@ -203,3 +221,16 @@ def test_dot_diamond_has_four_cover_edges():
     assert len(edges) == 4
     # no transitive bottom-to-top edge
     assert "  n0 -> n3;" not in text
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    g = GroundSet(('a"b', "c\\d"))
+    lattice = validate_lattice(g, [(0, 0), (0b11, 1)])
+    assert lattice_dot(lattice) == (
+        "digraph lattice {\n"
+        "  rankdir=BT;\n"
+        '  n0 [label="{}\\n0"];\n'
+        '  n1 [label="{a\\"b,c\\\\d}\\n1"];\n'
+        "  n0 -> n1;\n"
+        "}\n"
+    )

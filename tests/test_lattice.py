@@ -312,3 +312,31 @@ def test_exchange_witness_pairs_are_incomparable():
         if not rep.c3.passed:
             z1, z2 = rep.c3.witness.subsets
             assert z1 & ~z2 and z2 & ~z1
+
+
+def test_nested_scan_matches_per_condition_reference():
+    # C2 and C* share one scan over nested pairs; the reference scans every
+    # ordered pair once per condition, and both must cite the same first pair
+    rng = random.Random(5)
+    cases, failed, split = 0, {"C2": 0, "C*": 0}, 0
+    for f, lat, mu in corpus.harvested():
+        ranks = list(lat.ranks)
+        moved = rng.randrange(len(ranks))
+        ranks[moved] = max(Fraction(0), ranks[moved] + rng.choice((1, -1, Fraction(1, 2))))
+        redrawn = [Fraction(rng.randrange(4), rng.randrange(1, 3)) for _ in range(f.ground.n)]
+        for lat2, mu2 in (
+            (lat, mu),
+            (corpus.with_ranks(lat, ranks), mu),
+            (lat, Measure(lat.ground, redrawn)),
+        ):
+            rep = check_conditions(lat2, mu2)
+            assert (rep.c2, rep.cstar) == _oracles.nested_conditions_reference(lat2, mu2)
+            cases += 1
+            failed["C2"] += not rep.c2.passed
+            failed["C*"] += not rep.cstar.passed
+            split += not rep.c2.passed and rep.c2.witness.subsets != rep.cstar.witness.subsets
+    assert cases > 600
+    assert failed["C2"] > 50 and failed["C*"] > failed["C2"]
+    # some pairs fail C* at an earlier pair than C2
+    assert split > 0
+    print(f"nested scan parity: {cases} pairs, failures {failed}, split witnesses {split}")
