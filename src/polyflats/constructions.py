@@ -327,9 +327,7 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
     for small in submasks(host_part):
         host_mask, _ = _split(spec, small)
         first[small] = spec.host.values[host_mask]
-    # With an empty guest the pivot is a loop, so the overwrite is a no-op.
-    for small in submasks(host_part):
-        host_mask, _ = _split(spec, small)
+        # With an empty guest the pivot is a loop, so the overwrite is a no-op.
         first[small | guest_part] = spec.host.values[host_mask | pivot_bit]
     second = [
         (mask, spec.guest.values[mask >> m_count]) for mask in submasks(guest_part)

@@ -31,7 +31,12 @@ class FileFormatError(ValueError):
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        # str() refuses ints beyond sys.get_int_max_str_digits(), the same
+        # limit parse_rational reads back under
+        raise FileFormatError("rational too large to write: too many digits") from None
 
 
 def parse_rational(text) -> Fraction:
@@ -113,9 +118,10 @@ def polymatroid_from_doc(doc) -> SetFunction:
         if values[mask] is not None:
             raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
         values[mask] = parse_rational(text)
-    for m in _ordered(ground, ground.subsets()):
-        if values[m] is None:
-            raise FileFormatError(f"missing subset {subset_key(ground, m)!r}")
+    missing = [m for m, v in enumerate(values) if v is None]
+    if missing:
+        first = _ordered(ground, missing)[0]
+        raise FileFormatError(f"missing subset {subset_key(ground, first)!r}")
     return SetFunction(ground, values)
 
 
@@ -248,15 +254,7 @@ def lattice_dot(lattice: RankedLattice) -> str:
         name = ground.describe(m).replace("\\", "\\\\").replace('"', '\\"')
         label = f"{name}\\n{format_rational(lattice.rank_of(m))}"
         lines.append(f'  n{node_id[m]} [label="{label}"];')
-    for low in ordered:
-        for high in ordered:
-            if low == high or low & ~high:
-                continue
-            covered = any(
-                mid != low and mid != high and low & ~mid == 0 and mid & ~high == 0
-                for mid in lattice.members
-            )
-            if not covered:
-                lines.append(f"  n{node_id[low]} -> n{node_id[high]};")
+    for low, high in sorted((node_id[a], node_id[b]) for a, b in lattice.covers()):
+        lines.append(f"  n{low} -> n{high};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -52,17 +52,20 @@ class RankedLattice:
     """A validated family of ranked subsets; build one via ``validate_lattice``.
 
     Members are stored sorted by (cardinality, bit pattern), so the bottom is
-    ``members[0]`` and the top is ``members[-1]``.  Instances are immutable.
+    ``members[0]`` and the top is ``members[-1]``.  The order is held as two
+    tuples of bitsets over member indices: bit t of ``_below[i]`` is set when
+    member t lies inside member i, bit t of ``_above[i]`` when member t
+    contains member i (both include i itself).  Instances are immutable.
     """
 
-    __slots__ = ("ground", "members", "ranks", "_meet", "_join", "_index")
+    __slots__ = ("ground", "members", "ranks", "_below", "_above", "_index")
 
-    def __init__(self, ground, members, ranks, meet_table, join_table, index):
+    def __init__(self, ground, members, ranks, below, above, index):
         self.ground = ground
         self.members = members
         self.ranks = ranks
-        self._meet = meet_table
-        self._join = join_table
+        self._below = below
+        self._above = above
         self._index = index
 
     @property
@@ -93,18 +96,39 @@ class RankedLattice:
     def rank_of(self, mask: int) -> Fraction:
         return self.ranks[self._require(mask)]
 
+    def _meet(self, i: int, j: int) -> int | None:
+        # Cardinality order puts a greatest common lower bound last among
+        # the common lower bounds; it is one exactly when it holds them all.
+        common = self._below[i] & self._below[j]
+        glb = common.bit_length() - 1
+        return glb if common and not common & ~self._below[glb] else None
+
+    def _join(self, i: int, j: int) -> int | None:
+        common = self._above[i] & self._above[j]
+        lub = (common & -common).bit_length() - 1
+        return lub if common and not common & ~self._above[lub] else None
+
     def meet(self, first: int, second: int) -> int:
-        return self.members[self._meet[self._require(first)][self._require(second)]]
+        return self.members[self._meet(self._require(first), self._require(second))]
 
     def join(self, first: int, second: int) -> int:
-        return self.members[self._join[self._require(first)][self._require(second)]]
+        return self.members[self._join(self._require(first), self._require(second))]
+
+    def covers(self) -> list[tuple[int, int]]:
+        """The Hasse relation: (low, high) member pairs, high covering low."""
+        out = []
+        for i, up in enumerate(self._above):
+            for j in bits(up & ~(1 << i)):
+                if up & self._below[j] == 1 << i | 1 << j:
+                    out.append((self.members[i], self.members[j]))
+        return out
 
     def _replace_ranks(self, ranks: tuple[Fraction, ...]) -> "RankedLattice":
-        # Same family and tables, new ranks.  Skips validate_lattice on
+        # Same family and order, new ranks.  Skips validate_lattice on
         # purpose: rank sign is not re-checked here, which lets the pointed
         # normalization stay total even when the bottom is not minimal-ranked.
         return RankedLattice(
-            self.ground, self.members, ranks, self._meet, self._join, self._index
+            self.ground, self.members, ranks, self._below, self._above, self._index
         )
 
     def __eq__(self, other) -> bool:
@@ -129,11 +153,13 @@ class RankedLattice:
 def validate_lattice(
     ground: GroundSet, elements: Iterable[tuple[int, Rational]]
 ) -> RankedLattice:
-    """Check a ranked family and construct its meet/join tables.
+    """Check a ranked family and record its order as member bitsets.
 
-    Raises DuplicateElement for repeated subsets and NotALattice (with the
-    offending pair and reason) when some pair lacks a unique greatest lower
-    bound or least upper bound inside the family.  Ranks must be >= 0.
+    Every pair i <= j in member order needs a greatest lower bound (the last
+    common lower bound, if it contains all of them) and a least upper bound
+    (the first common upper bound, if it lies inside all of them).  Raises
+    DuplicateElement for repeated subsets and NotALattice with the first
+    offending pair and reason.  Ranks must be >= 0.
     """
     raw: dict[int, Fraction] = {}
     for mask, rank in elements:
@@ -149,46 +175,25 @@ def validate_lattice(
     if not raw:
         raise LatticeError("empty family: a lattice needs at least one member")
 
-    ordered = sorted(raw, key=lambda m: (m.bit_count(), m))
-    members = tuple(ordered)
+    members = tuple(sorted(raw, key=lambda m: (m.bit_count(), m)))
     ranks = tuple(raw[m] for m in members)
     index = {m: i for i, m in enumerate(members)}
     k = len(members)
-
-    meet_table = [[0] * k for _ in range(k)]
-    join_table = [[0] * k for _ in range(k)]
+    below, above = [0] * k, [0] * k
+    # Distinct members in cardinality order: Zi inside Zj forces i <= j.
+    for i, low in enumerate(members):
+        for j in range(i, k):
+            if not low & ~members[j]:
+                below[j] |= 1 << i
+                above[i] |= 1 << j
+    lattice = RankedLattice(ground, members, ranks, tuple(below), tuple(above), index)
     for i in range(k):
         for j in range(i, k):
-            both = members[i] & members[j]
-            lower = [m for m in members if m & ~both == 0]
-            union_of_lower = 0
-            for m in lower:
-                union_of_lower |= m
-            glb = index.get(union_of_lower)
-            if not lower or glb is None:
+            if lattice._meet(i, j) is None:
                 raise NotALattice(ground, members[i], members[j], "no unique lower bound")
-            meet_table[i][j] = meet_table[j][i] = glb
-
-            either = members[i] | members[j]
-            upper = [m for m in members if either & ~m == 0]
-            if not upper:
+            if lattice._join(i, j) is None:
                 raise NotALattice(ground, members[i], members[j], "no unique upper bound")
-            common = ground.full
-            for m in upper:
-                common &= m
-            lub = index.get(common)
-            if lub is None:
-                raise NotALattice(ground, members[i], members[j], "no unique upper bound")
-            join_table[i][j] = join_table[j][i] = lub
-
-    return RankedLattice(
-        ground,
-        members,
-        ranks,
-        tuple(tuple(row) for row in meet_table),
-        tuple(tuple(row) for row in join_table),
-        index,
-    )
+    return lattice
 
 
 def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
@@ -289,19 +294,16 @@ def _check_c1(lattice: RankedLattice) -> Verdict:
 def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
     """C2 and C* in one scan over the nested pairs Zi inside Zj.
 
-    Members are distinct and ordered by cardinality, so nesting forces
-    i < j; each condition keeps its own first failing pair.  A C2 failure
-    is also a C* failure, so the scan ends at the first C2 witness.
+    The pairs come from ``_above[i]`` without Zi itself, so j > i ascends
+    as in a scan over every pair; each condition keeps its own first
+    failing pair.  A C2 failure is also a C* failure, so the scan ends at
+    the first C2 witness.
     """
     members, ranks = lattice.members, lattice.ranks
     cstar = None
-    k = len(members)
-    for i in range(k):
-        z1 = members[i]
-        for j in range(i + 1, k):
+    for i, z1 in enumerate(members):
+        for j in bits(lattice._above[i] & ~(1 << i)):
             z2 = members[j]
-            if z1 & ~z2:
-                continue
             diff = ranks[j] - ranks[i]
             gap = mu_table[z2 & ~z1]
             if cstar is None:
@@ -322,12 +324,12 @@ def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
 def _check_c3(lattice: RankedLattice, mu_table) -> Verdict:
     # Scanned over every pair, comparable ones included; those hold
     # identically, so a violation citing a nested pair would mean a bug in
-    # the tables rather than in the input.
+    # the order bitsets rather than in the input.
     k = len(lattice.members)
     for i in range(k):
         for j in range(i + 1, k):
             z1, z2 = lattice.members[i], lattice.members[j]
-            meet, join = lattice._meet[i][j], lattice._join[i][j]
+            meet, join = lattice._meet(i, j), lattice._join(i, j)
             left = lattice.ranks[i] + lattice.ranks[j]
             right = (
                 lattice.ranks[join]

@@ -225,13 +225,12 @@ def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
 
 
 def reconstruction_failure(f: SetFunction) -> int | None:
-    """First subset where min over cyclic flats C of f(C) + mu(A - C)
-    disagrees with f(A); None when the identity holds everywhere."""
-    family = [m for m in f.ground.subsets() if is_cyclic_flat(f, m)]
-    mu_table = induced_measure(f).table()
-    for a in f.ground.subsets():
-        best = min(f.values[c] + mu_table[a & ~c] for c in family)
-        if best != f.values[a]:
-            return a
-    return None
+    """First subset where the convolution of the cyclic flats of ``f`` with
+    the induced measure disagrees with f; None when the identity holds.
 
+    Assumes ``f`` passes the polymatroid check, as ``cyclic_flats`` does.
+    """
+    from .convolution import convolve  # convolution imports this module
+
+    rebuilt = convolve(*cyclic_flats(f)).values
+    return next((a for a in f.ground.subsets() if rebuilt[a] != f.values[a]), None)

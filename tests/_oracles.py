@@ -8,6 +8,7 @@ flats, cyclic flats of matroids come from circuits.  Slow is fine here.
 from fractions import Fraction
 
 from polyflats import (
+    NotALattice,
     SetFunction,
     Verdict,
     Witness,
@@ -114,6 +115,67 @@ def convolution_singleton_profile(lattice, mu) -> dict[str, Fraction]:
     """Map each ground element to the convolution value of its singleton."""
     r = convolve(lattice, mu)
     return {name: r.values[1 << i] for i, name in enumerate(lattice.ground.names)}
+
+
+def pair_scan_reference(ground, elements):
+    """Meet and join index tables by scanning every member for each pair
+    i <= j of member indices, lower bound before upper bound.
+
+    Members are sorted by (cardinality, bit pattern).  The first pair
+    without a unique bound raises NotALattice with that pair and reason.
+    """
+    raw = dict(elements)
+    members = sorted(raw, key=lambda m: (m.bit_count(), m))
+    index = {m: i for i, m in enumerate(members)}
+    k = len(members)
+    meet = [[0] * k for _ in range(k)]
+    join = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            both = members[i] & members[j]
+            lower = [m for m in members if m & ~both == 0]
+            union_of_lower = 0
+            for m in lower:
+                union_of_lower |= m
+            glb = index.get(union_of_lower)
+            if not lower or glb is None:
+                raise NotALattice(ground, members[i], members[j], "no unique lower bound")
+            meet[i][j] = meet[j][i] = glb
+
+            either = members[i] | members[j]
+            upper = [m for m in members if either & ~m == 0]
+            common = ground.full
+            for m in upper:
+                common &= m
+            lub = index.get(common)
+            if not upper or lub is None:
+                raise NotALattice(ground, members[i], members[j], "no unique upper bound")
+            join[i][j] = join[j][i] = lub
+    return meet, join
+
+
+def dot_reference(lattice) -> str:
+    """Hasse diagram in DOT, the covering pairs found by looking for a
+    member strictly between every nested pair."""
+    ground = lattice.ground
+    ordered = sorted(lattice.members, key=lambda m: (m.bit_count(), ground.sorted_labels(m)))
+    node_id = {m: i for i, m in enumerate(ordered)}
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    for m in ordered:
+        name = ground.describe(m).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{node_id[m]} [label="{name}\\n{lattice.rank_of(m)}"];')
+    for low in ordered:
+        for high in ordered:
+            if low == high or low & ~high:
+                continue
+            covered = any(
+                mid != low and mid != high and low & ~mid == 0 and mid & ~high == 0
+                for mid in lattice.members
+            )
+            if not covered:
+                lines.append(f"  n{node_id[low]} -> n{node_id[high]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def nested_conditions_reference(lattice, mu) -> tuple:

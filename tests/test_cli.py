@@ -360,6 +360,28 @@ def test_oversized_rationals_are_usage_errors(tmp_path, capsys):
     assert "too many digits" in err
 
 
+def test_oversized_computed_rational_is_a_usage_error(tmp_path, capsys):
+    # each input rational is in range, but r(x,y) = rank(x) + mu(y) has a
+    # denominator of about 4,400 digits
+    lattice = write_doc(
+        tmp_path / "lat.json",
+        {
+            "ground": ["x", "y"],
+            "elements": [
+                {"set": [], "rank": "0"},
+                {"set": ["x"], "rank": f"1/{10**2200 + 1}"},
+            ],
+        },
+    )
+    measure = write_doc(tmp_path / "mu.json", {"x": "1", "y": f"1/{10**2199 + 3}"})
+    out = tmp_path / "conv.json"
+    code, text, err = invoke(capsys, "convolve", lattice, measure, "-o", str(out))
+    assert code == 2
+    assert text == ""
+    assert err == "error: rational too large to write: too many digits\n"
+    assert not out.exists()
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2

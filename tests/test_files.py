@@ -1,5 +1,6 @@
 """JSON document shapes, canonical ordering, and DOT output."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,21 @@ def test_rational_refuses_too_many_digits(text):
         parse_rational(text)
 
 
+def test_format_rational_refuses_what_parse_rational_would():
+    # the writer stops where the reader's integer-string limit stops, so no
+    # file it writes is unreadable
+    limit = sys.get_int_max_str_digits()
+    for value in (Fraction(10 ** (limit - 1)), Fraction(-1, 10 ** (limit - 1))):
+        assert parse_rational(format_rational(value)) == value
+    for value in (
+        Fraction(10**limit),
+        Fraction(1, 10**limit),
+        Fraction(1, 10**2200 + 1) + Fraction(1, 10**2199 + 3),
+    ):
+        with pytest.raises(FileFormatError, match="too many digits"):
+            format_rational(value)
+
+
 def test_subset_keys():
     g = GroundSet(("y", "x"))
     assert subset_key(g, 0) == ""
@@ -95,6 +111,9 @@ def test_polymatroid_doc_errors():
     del doc["rank"]["a,b"]
     with pytest.raises(FileFormatError, match="missing subset 'a,b'"):
         polymatroid_from_doc(doc)
+    # the first missing subset in file order (by labels), not in mask order
+    with pytest.raises(FileFormatError, match="missing subset 'x'"):
+        polymatroid_from_doc({"ground": ["y", "x"], "rank": {"": "0", "x,y": "1"}})
     doc = {"ground": ["a", "b"], "rank": dict(base["rank"])}
     doc["rank"]["b,a"] = "1"
     with pytest.raises(FileFormatError, match="repeats an earlier subset"):

@@ -1,5 +1,6 @@
 """Lattice validation, meet/join, and the seven compatibility conditions."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from polyflats import (
     check_conditions,
     cyclic_flats,
     graphic_matroid,
+    helgason_lattice,
     normalize_pointed,
     validate_lattice,
 )
+from polyflats.files import lattice_dot
 
 import _oracles
 import corpus
@@ -340,3 +343,72 @@ def test_nested_scan_matches_per_condition_reference():
     # some pairs fail C* at an earlier pair than C2
     assert split > 0
     print(f"nested scan parity: {cases} pairs, failures {failed}, split witnesses {split}")
+
+
+def _order_matches_pair_scan(g, elements) -> str | None:
+    """validate_lattice against the per-pair member scan: the same first
+    NotALattice, or the same meet, join and DOT text.  Returns the failure
+    reason, None for a lattice."""
+    try:
+        meet, join = _oracles.pair_scan_reference(g, elements)
+    except NotALattice as expected:
+        with pytest.raises(NotALattice) as info:
+            validate_lattice(g, elements)
+        got = info.value
+        assert (got.first, got.second, got.reason, str(got)) == (
+            expected.first, expected.second, expected.reason, str(expected)
+        )
+        return got.reason
+    lat = validate_lattice(g, elements)
+    members = lat.members
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            assert lat.meet(a, b) == members[meet[i][j]]
+            assert lat.join(a, b) == members[join[i][j]]
+    assert lattice_dot(lat) == _oracles.dot_reference(lat)
+    return None
+
+
+def test_order_bitsets_match_pair_scan_on_random_families():
+    # arbitrary families, some widened by their overall intersection and
+    # union: about half of them are not lattices
+    rng = random.Random(2026)
+    outcomes = collections.Counter()
+    for _ in range(4000):
+        n = rng.randint(3, 6)
+        masks = set(rng.sample(range(1 << n), rng.randint(2, min(12, 1 << n))))
+        if rng.random() < 0.4:
+            low, high = (1 << n) - 1, 0
+            for m in masks:
+                low &= m
+                high |= m
+            masks |= {low, high}
+        g = ground("abcdef"[:n])
+        elements = [(m, Fraction(rng.randrange(4), rng.randrange(1, 3))) for m in masks]
+        outcomes[_order_matches_pair_scan(g, elements)] += 1
+    assert 1600 < outcomes[None] < 2400
+    assert outcomes["no unique lower bound"] > 500
+    assert outcomes["no unique upper bound"] > 300
+    print(f"order parity on 4000 random families: {dict(outcomes)}")
+
+
+def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
+    lattices = [lat for _, lat, _ in corpus.harvested()]
+    lattices += [helgason_lattice(f)[0] for f in corpus.integer_corpus()]
+    for lat in lattices:
+        assert _order_matches_pair_scan(lat.ground, list(lat.items())) is None
+    assert len(lattices) > 600
+
+
+def test_boolean_lattice_on_ten_elements():
+    g = ground("abcdefghij")
+    lat = validate_lattice(g, [(m, m.bit_count()) for m in range(1 << 10)])
+    assert len(lat) == 1024
+    rng = random.Random(10)
+    for _ in range(2000):
+        a, b = rng.randrange(1024), rng.randrange(1024)
+        assert lat.meet(a, b) == a & b
+        assert lat.join(a, b) == a | b
+    covers = lat.covers()
+    assert len(covers) == 10 * 512
+    assert all(low & ~high == 0 and (high ^ low).bit_count() == 1 for low, high in covers)
