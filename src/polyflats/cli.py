@@ -116,15 +116,16 @@ def _cmd_convolve2(args) -> int:
 def _cmd_verify(args) -> int:
     lattice, mu = _read_pair(args.lattice, args.measure)
     report = verify_main_theorem(lattice, mu)
-    for line in report.conditions.lines(lattice.ground):
-        print(line)
-    print(f"polymatroid: {_yes(report.is_polymatroid)}")
-    print(f"lattice recovered: {_yes(report.lattice_recovered)}")
-    print(f"measure recovered: {_yes(report.measure_recovered)}")
-    for mismatch in report.mismatches:
-        print(f"mismatch: {mismatch.describe(lattice.ground)}")
+    # Every line is formatted before any is printed, so a value too long to
+    # write leaves stdout empty.
+    lines = report.conditions.lines(lattice.ground)
+    lines.append(f"polymatroid: {_yes(report.is_polymatroid)}")
+    lines.append(f"lattice recovered: {_yes(report.lattice_recovered)}")
+    lines.append(f"measure recovered: {_yes(report.measure_recovered)}")
+    lines += [f"mismatch: {m.describe(lattice.ground)}" for m in report.mismatches]
     if report.outside_top:
-        print(f"outside top member: {', '.join(report.outside_top)}")
+        lines.append(f"outside top member: {', '.join(report.outside_top)}")
+    print("\n".join(lines))
     return 0 if report.round_trip_ok else 1
 
 

@@ -8,6 +8,23 @@ The two-lattice form covers A by a member from each lattice:
 
     r(A) = min over Z1, Z2 with A inside Z1 | Z2 of  rank1(Z1) + rank2(Z2)
 
+Neither scans the members once per subset.  Both seed a table with the
+ranks of what covers (a member, or the union of a pair), then take its
+superset-min transform ``h(A) = min{h(Z) : Z contains A}``, n passes over
+the subset cube as in the zeta transforms of Bjorklund, Husfeldt, Kaski and
+Koivisto ("Fourier meets Moebius: fast subset convolution", STOC 2007).
+For two lattices h is the answer.  For one lattice the measure pays for
+the part of A a member leaves out, by the recurrence
+
+    r(A) = min(h(A), min over i in A of  r(A - i) + mu(i))
+
+which holds because mu >= 0: an optimal Z either contains A, giving h(A),
+or misses some i in A, and then rank(Z) + mu(A - Z) is rank(Z) +
+mu((A - i) - Z) + mu(i), at least r(A - i) + mu(i); conversely each
+right-hand term is the value of some Z at A or exceeds one.  Both
+transforms run on ints over the common denominator of the ranks and the
+measure, so the result is exact.
+
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what
 the convolution was built from.
@@ -24,23 +41,47 @@ from .model import (
     GroundSetMismatch,
     Measure,
     SetFunction,
+    _common_denominator,
     bits,
+    format_rational,
 )
 from .polymatroid import check_polymatroid, cyclic_flats
+
+
+def _superset_min(h: list[int]) -> None:
+    """In place: h[A] becomes the least h[B] over the supersets B of A."""
+    size, step = len(h), 1
+    while step < size:
+        for lo in range(0, size, 2 * step):
+            hi = lo + step
+            h[lo:hi] = map(min, h[lo:hi], h[hi:hi + step])
+        step *= 2
 
 
 def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
     """The min-cover value of every subset against the ranked members."""
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
-    table = mu.table()
-    members = lattice.members
-    ranks = lattice.ranks
-    values = [
-        min(ranks[i] + table[a & ~members[i]] for i in range(len(members)))
-        for a in lattice.ground.subsets()
-    ]
-    return SetFunction(lattice.ground, values)
+    k = len(lattice.members)
+    d, scaled = _common_denominator(lattice.ranks + mu.singleton)
+    ranks, weights = scaled[:k], scaled[k:]
+    # Every r(A) is at most rank(bottom) + mu(ground), so that bound can
+    # stand for "no member contains A" without changing any minimum.
+    h = [ranks[0] + sum(weights)] * (1 << lattice.ground.n)
+    for z, rank in zip(lattice.members, ranks):
+        h[z] = rank
+    _superset_min(h)
+    # The recurrence one element at a time: after element i, h[A] is the
+    # best cover of A that may leave out elements up to i at their measure.
+    size = len(h)
+    for i, w in enumerate(weights):
+        step = 1 << i
+        for lo in range(step, size, 2 * step):
+            h[lo:lo + step] = [
+                y if y < x + w else x + w
+                for x, y in zip(h[lo - step:lo], h[lo:lo + step])
+            ]
+    return SetFunction(lattice.ground, [Fraction(x, d) for x in h])
 
 
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
@@ -53,23 +94,24 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
     if first.ground.names != second.ground.names:
         raise GroundSetMismatch("two-lattice convolution needs a shared ground set")
     source = first.ground
-    cover = first.top | second.top
-
-    pairs = [
-        (m1 | m2, r1 + r2)
-        for m1, r1 in first.items()
-        for m2, r2 in second.items()
-    ]
-
-    keep = list(bits(cover))
+    keep = list(bits(first.top | second.top))
     ground = GroundSet(tuple(source.names[i] for i in keep))
-    values = []
-    for small in ground.subsets():
-        a = 0
-        for pos in bits(small):
-            a |= 1 << keep[pos]
-        values.append(min(s for u, s in pairs if a & ~u == 0))
-    return SetFunction(ground, values)
+
+    def restrict(mask: int) -> int:
+        return sum(1 << pos for pos, i in enumerate(keep) if mask >> i & 1)
+
+    k = len(first.members)
+    d, scaled = _common_denominator(first.ranks + second.ranks)
+    ones = [(restrict(m), r) for m, r in zip(first.members, scaled[:k])]
+    twos = [(restrict(m), r) for m, r in zip(second.members, scaled[k:])]
+    # The two tops cover every subset, so their sum bounds every value.
+    h = [ones[-1][1] + twos[-1][1]] * (1 << ground.n)
+    for u1, r1 in ones:
+        for u2, r2 in twos:
+            if r1 + r2 < h[u1 | u2]:
+                h[u1 | u2] = r1 + r2
+    _superset_min(h)
+    return SetFunction(ground, [Fraction(x, d) for x in h])
 
 
 @dataclass(frozen=True)
@@ -95,10 +137,12 @@ class RecoveryMismatch:
             return f"{ground.describe(self.subset)} is a cyclic flat of the output but not a member"
         if self.kind == "rank_differs":
             return (
-                f"{ground.describe(self.subset)} has output rank {self.actual}, member rank {self.expected}"
+                f"{ground.describe(self.subset)} has output rank "
+                f"{format_rational(self.actual)}, member rank {format_rational(self.expected)}"
             )
         return (
-            f"element {ground.names[self.element]} has output rank {self.actual}, expected {self.expected}"
+            f"element {ground.names[self.element]} has output rank "
+            f"{format_rational(self.actual)}, expected {format_rational(self.expected)}"
         )
 
 

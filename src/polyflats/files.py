@@ -21,22 +21,9 @@ from pathlib import Path
 
 from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
-from .model import GroundSet, Measure, SetFunction
+from .model import FileFormatError, GroundSet, Measure, SetFunction, format_rational
 
 RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-
-
-class FileFormatError(ValueError):
-    pass
-
-
-def format_rational(value: Fraction) -> str:
-    try:
-        return str(value)
-    except ValueError:
-        # str() refuses ints beyond sys.get_int_max_str_digits(), the same
-        # limit parse_rational reads back under
-        raise FileFormatError("rational too large to write: too many digits") from None
 
 
 def parse_rational(text) -> Fraction:

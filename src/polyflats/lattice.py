@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .model import GroundSet, GroundSetMismatch, Measure, Rational, bits, to_fraction
+from .model import (
+    GroundSet,
+    GroundSetMismatch,
+    Measure,
+    Rational,
+    bits,
+    format_rational,
+    to_fraction,
+)
 
 
 class LatticeError(ValueError):
@@ -229,7 +237,10 @@ class Witness:
         if self.element is not None:
             named = f"element {ground.names[self.element]}"
             where = f"{where}, {named}" if where else named
-        return f"at {where}: needs {self.lhs} {self.relation} {self.rhs}"
+        return (
+            f"at {where}: needs {format_rational(self.lhs)} {self.relation} "
+            f"{format_rational(self.rhs)}"
+        )
 
 
 @dataclass(frozen=True)

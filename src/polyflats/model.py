@@ -1,14 +1,22 @@
 """Ground sets, bitmask subsets, exact values, measures and dense set functions.
 
 A subset of a ground set is a plain ``int``: bit ``i`` set means element ``i``
-(in declaration order) belongs to the subset.  Every numeric value is a
+(in declaration order) belongs to the subset.  Every public value is a
 ``fractions.Fraction``; the strict inequalities used by the lattice condition
 checkers would be unsound under floating point, so floats are refused
 everywhere.
+
+The 2^n kernels (the axiom scan and both convolutions) do not compute on
+``Fraction``.  ``_common_denominator`` writes a table as Python ints over one
+denominator d, the lcm of its denominators.  Multiplying every value by the
+same positive d keeps every comparison between sums of values, so verdicts
+and first witnesses do not change; the kernels turn back to ``Fraction``
+only for the values they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -29,6 +37,28 @@ def to_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+class FileFormatError(ValueError):
+    """Malformed input, or a rational too long to write or read back."""
+
+
+def format_rational(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        # str() refuses ints beyond sys.get_int_max_str_digits(), the same
+        # limit files.parse_rational reads back under
+        raise FileFormatError("rational too large to write: too many digits") from None
+
+
+def _common_denominator(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """``(d, ints)`` with d the lcm of the denominators and
+    ``values[m] == ints[m] / d`` for every m."""
+    denominators = {v.denominator for v in values}
+    d = math.lcm(*denominators)
+    factor = {q: d // q for q in denominators}
+    return d, [v.numerator * factor[v.denominator] for v in values]
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import RankedLattice, validate_lattice
-from .model import Measure, SetFunction, bits, induced_measure
+from .model import Measure, SetFunction, _common_denominator, bits, induced_measure
 
 
 class NotAFlat(ValueError):
@@ -55,38 +55,34 @@ class PolymatroidReport:
         return self.nonnegative and self.monotone and self.submodular
 
 
-def _nonnegative_witness(f: SetFunction) -> AxiomWitness | None:
-    for mask in f.ground.subsets():
-        if f.values[mask] < 0:
+def _nonnegative_witness(v: list[int]) -> AxiomWitness | None:
+    for mask, x in enumerate(v):
+        if x < 0:
             return AxiomWitness("nonnegative", (mask,))
     return None
 
 
-def _monotone_witness(f: SetFunction) -> AxiomWitness | None:
+def _monotone_witness(v: list[int], n: int) -> AxiomWitness | None:
     # Single-element steps suffice: any violating pair A < B yields a
     # violating step somewhere along a chain between them.
-    for mask in f.ground.subsets():
-        for i in range(f.ground.n):
+    for mask, x in enumerate(v):
+        for i in range(n):
             bit = 1 << i
-            if mask & bit:
-                continue
-            if f.values[mask] > f.values[mask | bit]:
+            if not mask & bit and x > v[mask | bit]:
                 return AxiomWitness("monotone", (mask, mask | bit))
     return None
 
 
-def _submodular_witness(f: SetFunction) -> AxiomWitness | None:
+def _submodular_witness(v: list[int], n: int) -> AxiomWitness | None:
     # Local exchange form: f(A+i) + f(A+j) >= f(A+i+j) + f(A) for i, j not
     # in A.  Equivalent to submodularity on arbitrary pairs.
-    n = f.ground.n
-    for mask in f.ground.subsets():
+    for mask, x in enumerate(v):
         free = [i for i in range(n) if not mask >> i & 1]
-        for a in range(len(free)):
-            i = free[a]
+        for a, i in enumerate(free):
+            with_i = mask | 1 << i
+            gain = v[with_i] - x
             for j in free[a + 1:]:
-                left = f.values[mask | 1 << i] + f.values[mask | 1 << j]
-                right = f.values[mask | 1 << i | 1 << j] + f.values[mask]
-                if left < right:
+                if gain + v[mask | 1 << j] < v[with_i | 1 << j]:
                     return AxiomWitness("submodular", (mask,), (i, j))
     return None
 
@@ -96,15 +92,17 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
 
     The witness, when present, is the first violation found scanning
     non-negativity, then monotonicity, then submodularity, each in subset
-    order.
+    order.  The scans read the table as ints over its common denominator.
     """
-    w_nonneg = _nonnegative_witness(f)
-    w_mono = _monotone_witness(f)
-    w_sub = _submodular_witness(f)
-    integer = f.is_integer_valued()
+    d, v = _common_denominator(f.values)
+    n = f.ground.n
+    w_nonneg = _nonnegative_witness(v)
+    w_mono = _monotone_witness(v, n)
+    w_sub = _submodular_witness(v, n)
+    integer = d == 1
     is_poly = w_nonneg is None and w_mono is None and w_sub is None
     is_matroid = (
-        is_poly and integer and all(v in (0, 1) for v in f.singletons())
+        is_poly and integer and all(v[1 << i] in (0, 1) for i in range(n))
     )
     return PolymatroidReport(
         nonnegative=w_nonneg is None,

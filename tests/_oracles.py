@@ -8,7 +8,10 @@ flats, cyclic flats of matroids come from circuits.  Slow is fine here.
 from fractions import Fraction
 
 from polyflats import (
+    AxiomWitness,
+    GroundSet,
     NotALattice,
+    PolymatroidReport,
     SetFunction,
     Verdict,
     Witness,
@@ -115,6 +118,76 @@ def convolution_singleton_profile(lattice, mu) -> dict[str, Fraction]:
     """Map each ground element to the convolution value of its singleton."""
     r = convolve(lattice, mu)
     return {name: r.values[1 << i] for i, name in enumerate(lattice.ground.names)}
+
+
+def check_polymatroid_reference(f: SetFunction) -> PolymatroidReport:
+    """``check_polymatroid`` as three ``Fraction`` scans in the same order:
+    non-negativity, then monotone steps, then local exchanges, each by
+    subset, then element index."""
+    v, n = f.values, f.ground.n
+
+    def nonnegative():
+        for mask in f.ground.subsets():
+            if v[mask] < 0:
+                return AxiomWitness("nonnegative", (mask,))
+        return None
+
+    def monotone():
+        for mask in f.ground.subsets():
+            for i in range(n):
+                bit = 1 << i
+                if not mask & bit and v[mask] > v[mask | bit]:
+                    return AxiomWitness("monotone", (mask, mask | bit))
+        return None
+
+    def submodular():
+        for mask in f.ground.subsets():
+            free = [i for i in range(n) if not mask >> i & 1]
+            for a in range(len(free)):
+                i = free[a]
+                for j in free[a + 1:]:
+                    left = v[mask | 1 << i] + v[mask | 1 << j]
+                    right = v[mask | 1 << i | 1 << j] + v[mask]
+                    if left < right:
+                        return AxiomWitness("submodular", (mask,), (i, j))
+        return None
+
+    w_nonneg, w_mono, w_sub = nonnegative(), monotone(), submodular()
+    integer = all(x.denominator == 1 for x in v)
+    is_poly = w_nonneg is None and w_mono is None and w_sub is None
+    return PolymatroidReport(
+        nonnegative=w_nonneg is None,
+        monotone=w_mono is None,
+        submodular=w_sub is None,
+        integer_valued=integer,
+        is_matroid=is_poly and integer and all(x in (0, 1) for x in f.singletons()),
+        witness=w_nonneg or w_mono or w_sub,
+    )
+
+
+def convolve_reference(lattice, mu) -> SetFunction:
+    """``convolve`` by scanning every member for every subset."""
+    table = mu.table()
+    return SetFunction(
+        lattice.ground,
+        [
+            min(rank + table[a & ~m] for m, rank in lattice.items())
+            for a in lattice.ground.subsets()
+        ],
+    )
+
+
+def convolve_lattices_reference(first, second) -> SetFunction:
+    """``convolve_lattices`` by scanning every member pair for every subset
+    of the union of the two tops."""
+    keep = [i for i in range(first.ground.n) if (first.top | second.top) >> i & 1]
+    ground = GroundSet(tuple(first.ground.names[i] for i in keep))
+    pairs = [(m1 | m2, r1 + r2) for m1, r1 in first.items() for m2, r2 in second.items()]
+    values = []
+    for small in ground.subsets():
+        a = sum(1 << i for pos, i in enumerate(keep) if small >> pos & 1)
+        values.append(min(s for u, s in pairs if a & ~u == 0))
+    return SetFunction(ground, values)
 
 
 def pair_scan_reference(ground, elements):

@@ -152,6 +152,49 @@ def closed_random_lattice(seed: int, f: SetFunction) -> tuple[RankedLattice, Mea
     return lattice, mu
 
 
+# Denominators for the integer-kernel parity tests: small ones that mix,
+# and two coprime ones past 40 digits.
+KERNEL_DENOMINATORS = (1, 2, 3, 7, 10**45 + 7, 10**41 + 3)
+
+
+def rational_sum_table(seed: int, n: int, terms: int = 6) -> SetFunction:
+    """Weighted sum of uniform ranks on random supports, any n <= 20.
+
+    The same shape as ``random_polymatroid(mode="sum")``, which stops at
+    n = 10; a polymatroid by construction, with rational weights.
+    """
+    rng = random.Random(seed)
+    summands = [
+        (rng.randrange(1, 1 << n), rng.randint(1, 4), Fraction(rng.randint(1, 4), rng.choice((1, 2, 3))))
+        for _ in range(terms)
+    ]
+    return SetFunction.from_callable(
+        GroundSet(tuple(f"e{i}" for i in range(n))),
+        lambda a: sum((w * min((a & s).bit_count(), c) for s, c, w in summands), Fraction(0)),
+    )
+
+
+def random_family_lattice(rng: random.Random, ground: GroundSet, top: int) -> RankedLattice:
+    """Random family inside ``top``, closed under union and intersection,
+    with random non-negative ranks over mixed denominators.
+
+    The ranks need not be monotone, zero ranks occur, and ground elements
+    outside ``top`` lie in no member.
+    """
+    family = {0, top}
+    for _ in range(rng.randrange(0, 5)):
+        family.add(rng.randrange(top + 1) & top)
+    while True:
+        extra = {op for a in family for b in family for op in (a | b, a & b)} - family
+        if not extra:
+            break
+        family |= extra
+    return validate_lattice(
+        ground,
+        [(m, Fraction(rng.randrange(0, 12), rng.choice(KERNEL_DENOMINATORS))) for m in sorted(family)],
+    )
+
+
 # --- infiltration pairs ---
 
 

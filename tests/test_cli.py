@@ -382,6 +382,29 @@ def test_oversized_computed_rational_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["axioms", "verify"])
+def test_oversized_witness_value_is_a_usage_error(tmp_path, capsys, command):
+    # C3 at {x}, {y} cites rank(x) + rank(y), whose denominator has about
+    # 4,400 digits
+    lattice = write_doc(
+        tmp_path / "lat.json",
+        {
+            "ground": ["x", "y", "z"],
+            "elements": [
+                {"set": [], "rank": "0"},
+                {"set": ["x"], "rank": f"1/{10**2200 + 1}"},
+                {"set": ["y"], "rank": f"1/{10**2199 + 3}"},
+                {"set": ["x", "y", "z"], "rank": "5"},
+            ],
+        },
+    )
+    measure = write_doc(tmp_path / "mu.json", {"x": "1", "y": "1", "z": "1"})
+    code, text, err = invoke(capsys, command, lattice, measure)
+    assert code == 2
+    assert text == ""
+    assert err == "error: rational too large to write: too many digits\n"
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2

@@ -127,6 +127,64 @@ def test_two_lattice_matches_single_with_additive_second(all_functions):
         assert paired.values == direct.values
 
 
+def _random_measure(rng, g):
+    return Measure(
+        g, [Fraction(rng.randrange(0, 5), rng.choice(corpus.KERNEL_DENOMINATORS)) for _ in g.names]
+    )
+
+
+def test_convolve_matches_member_scan_reference(harvested_pairs):
+    for _, lat, mu in harvested_pairs:
+        assert convolve(lat, mu) == _oracles.convolve_reference(lat, mu)
+    rng = random.Random(4104)
+    partial_tops = zero_ranks = 0
+    for _ in range(400):
+        g = ground("abcdef"[: rng.randint(0, 6)])
+        top = g.full if rng.random() < 0.3 else rng.randrange(g.full + 1)
+        lat = corpus.random_family_lattice(rng, g, top)
+        mu = _random_measure(rng, g)
+        assert convolve(lat, mu) == _oracles.convolve_reference(lat, mu)
+        partial_tops += lat.top != g.full
+        zero_ranks += any(r == 0 for r in lat.ranks[1:])
+    assert partial_tops > 100 and zero_ranks > 50
+
+
+def test_convolve_lattices_matches_pair_scan_reference(harvested_pairs):
+    rng = random.Random(4105)
+    partial_cover = 0
+    for _, lat, _ in harvested_pairs[::4]:
+        other = corpus.random_family_lattice(rng, lat.ground, rng.randrange(lat.ground.full + 1))
+        for first, second in ((lat, other), (other, lat)):
+            got = convolve_lattices(first, second)
+            assert got == _oracles.convolve_lattices_reference(first, second)
+    for _ in range(300):
+        g = ground("abcdef"[: rng.randint(1, 6)])
+        first = corpus.random_family_lattice(rng, g, rng.randrange(g.full + 1))
+        second = corpus.random_family_lattice(rng, g, rng.randrange(g.full + 1))
+        got = convolve_lattices(first, second)
+        assert got == _oracles.convolve_lattices_reference(first, second)
+        partial_cover += first.top | second.top != g.full
+    assert partial_cover > 100
+
+
+def test_convolve_on_the_boolean_lattice_of_ten_elements():
+    g = ground("abcdefghij")
+    lat = validate_lattice(g, [(m, Fraction(m.bit_count(), 2)) for m in g.subsets()])
+    r = convolve(lat, Measure(g, [Fraction(1, 3)] * 10))
+    assert r.values == tuple(Fraction(a.bit_count(), 3) for a in g.subsets())
+
+
+def test_convolve_lattices_at_ten_elements():
+    rng = random.Random(29)
+    g = ground("abcdefghij")
+    first = corpus.random_family_lattice(rng, g, 0b0111111111)
+    second = corpus.random_family_lattice(rng, g, 0b1111110101)
+    assert len(first) * len(second) >= 400
+    got = convolve_lattices(first, second)
+    assert got.ground == g
+    assert got == _oracles.convolve_lattices_reference(first, second)
+
+
 def test_verify_round_trip_on_good_pair():
     g = ground("xy")
     lat = validate_lattice(g, [(0, 0), (0b11, 3)])

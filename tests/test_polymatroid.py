@@ -1,5 +1,7 @@
 """Axiom checks, closure, flats, and cyclic-flat extraction."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -110,6 +112,71 @@ def test_local_exchange_matches_all_pairs_on_corrupted_tables():
         if not local:
             seen_bad += 1
     assert seen_bad > 20
+
+
+def test_axiom_scan_matches_fraction_reference_on_corpus(all_functions):
+    for f in all_functions:
+        assert check_polymatroid(f) == _oracles.check_polymatroid_reference(f)
+
+
+def _corrupt(rng, f, third):
+    """A copy of f with one value moved, at a subset in the given third of
+    the scan order; the moves mix in negative values and new denominators."""
+    values = list(f.values)
+    size = len(values)
+    slot = rng.randrange(third * size // 3, (third + 1) * size // 3)
+    move = rng.randrange(5)
+    if move == 0:
+        values[slot] += 1
+    elif move == 1:
+        values[slot] -= Fraction(1, 2)
+    elif move == 2:
+        values[slot] = -values[slot] - Fraction(1, 7)
+    elif move == 3:
+        values[slot] += Fraction(1, 10**45 + 7)
+    else:
+        values[slot] -= Fraction(3, 10**41 + 3)
+    return SetFunction(f.ground, values)
+
+
+def test_axiom_scan_matches_fraction_reference_on_corrupted_tables():
+    rng = random.Random(20261018)
+    sources = [f for f in corpus.full_corpus() if f.ground.n >= 2]
+    # whole tables over a 46-digit denominator, so the moves above mix it
+    # with small and other large ones
+    sources += [corpus.scale_function(f, Fraction(2, 10**45 + 7)) for f in sources[::5]]
+    sources += [corpus.rational_sum_table(seed, 6 + seed % 3) for seed in range(12)]
+    seen = Counter()
+    for f in sources:
+        for third in range(3):
+            g = _corrupt(rng, f, third)
+            got = check_polymatroid(g)
+            assert got == _oracles.check_polymatroid_reference(g)
+            seen[got.witness.axiom if got.witness else "none", third] += 1
+    for axiom in ("nonnegative", "monotone", "submodular", "none"):
+        for third in range(3):
+            assert seen[axiom, third] > 0, (axiom, third)
+
+
+def test_axiom_scan_at_fourteen_and_twelve_elements():
+    f = corpus.rational_sum_table(14, 14)
+    report = check_polymatroid(f)
+    assert report.is_polymatroid and not report.integer_valued and not report.is_matroid
+    values = list(f.values)
+    values[f.ground.full ^ 0b1010] += 5
+    g = SetFunction(f.ground, values)
+    report = check_polymatroid(g)
+    assert not report.is_polymatroid
+    assert _oracles.axiom_witness_violates(g, report.witness)
+
+    # the Fraction reference takes about 0.5 s at n = 12
+    f = corpus.rational_sum_table(12, 12)
+    values = list(f.values)
+    values[f.ground.full ^ 0b1010] += 5
+    g = SetFunction(f.ground, values)
+    report = check_polymatroid(g)
+    assert report.witness is not None
+    assert report == _oracles.check_polymatroid_reference(g)
 
 
 def test_loops_and_coloops():
