@@ -23,7 +23,8 @@ or misses some i in A, and then rank(Z) + mu(A - Z) is rank(Z) +
 mu((A - i) - Z) + mu(i), at least r(A - i) + mu(i); conversely each
 right-hand term is the value of some Z at A or exceeds one.  Both
 transforms run on ints over the common denominator of the ranks and the
-measure, so the result is exact.
+measure, or on the ``Fraction`` values when that denominator would be too
+long (see ``model``), so the result is exact.
 
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what
@@ -81,7 +82,7 @@ def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
                 y if y < x + w else x + w
                 for x, y in zip(h[lo - step:lo], h[lo:lo + step])
             ]
-    return SetFunction(lattice.ground, [Fraction(x, d) for x in h])
+    return SetFunction(lattice.ground, h if d is None else [Fraction(x, d) for x in h])
 
 
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
@@ -111,7 +112,7 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
             if r1 + r2 < h[u1 | u2]:
                 h[u1 | u2] = r1 + r2
     _superset_min(h)
-    return SetFunction(ground, [Fraction(x, d) for x in h])
+    return SetFunction(ground, h if d is None else [Fraction(x, d) for x in h])
 
 
 @dataclass(frozen=True)

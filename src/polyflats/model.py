@@ -6,12 +6,18 @@ A subset of a ground set is a plain ``int``: bit ``i`` set means element ``i``
 checkers would be unsound under floating point, so floats are refused
 everywhere.
 
-The 2^n kernels (the axiom scan and both convolutions) do not compute on
-``Fraction``.  ``_common_denominator`` writes a table as Python ints over one
-denominator d, the lcm of its denominators.  Multiplying every value by the
-same positive d keeps every comparison between sums of values, so verdicts
-and first witnesses do not change; the kernels turn back to ``Fraction``
-only for the values they return.
+The 2^n kernels (the axiom scan and both convolutions) only compare and add
+values, and they do so on Python ints where they can.  ``_common_denominator``
+writes a table as ints over one denominator d, the lcm of its denominators.
+Multiplying every value by the same positive d keeps every comparison
+between sums of values, so verdicts and first witnesses do not change; the
+kernels turn back to ``Fraction`` only for the values they return.
+
+This pays only while the lcm of a table's denominators stays small, as it
+does when they are drawn from a few values.  Many pairwise coprime
+denominators make d about as long as all of them together, and every scaled
+value that long; so past a bound on the length of d the kernels run the same
+scans on the ``Fraction`` values instead.
 """
 
 from __future__ import annotations
@@ -52,12 +58,31 @@ def format_rational(value: Fraction) -> str:
         raise FileFormatError("rational too large to write: too many digits") from None
 
 
-def _common_denominator(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """``(d, ints)`` with d the lcm of the denominators and
-    ``values[m] == ints[m] / d`` for every m."""
-    denominators = {v.denominator for v in values}
-    d = math.lcm(*denominators)
-    factor = {q: d // q for q in denominators}
+# The int form is kept while d has at most this many bits plus twice the
+# mean bit length of the denominators.  Within that the ints together take
+# about as much memory as the Fractions they are read from, each of which
+# holds an object and a denominator besides its numerator; past it they
+# could take many times more.
+_LCM_BITS_SLACK = 512
+
+
+def _common_denominator(values: tuple[Fraction, ...]) -> tuple[int | None, list]:
+    """``(d, scaled)`` with ``values[m] == scaled[m] / d`` for every m.
+
+    d is the lcm of the denominators and ``scaled`` holds ints, unless d
+    would outgrow the bound above: then d is None and ``scaled`` holds the
+    values themselves, on which the kernels' comparisons and sums run
+    unchanged.
+    """
+    denominators = [v.denominator for v in values]
+    limit = _LCM_BITS_SLACK + 2 * sum(map(int.bit_length, denominators)) // len(values)
+    distinct = set(denominators)
+    d = 1
+    for q in distinct:
+        d = math.lcm(d, q)
+        if d.bit_length() > limit:
+            return None, list(values)
+    factor = {q: d // q for q in distinct}
     return d, [v.numerator * factor[v.denominator] for v in values]
 
 

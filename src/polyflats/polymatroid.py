@@ -55,14 +55,14 @@ class PolymatroidReport:
         return self.nonnegative and self.monotone and self.submodular
 
 
-def _nonnegative_witness(v: list[int]) -> AxiomWitness | None:
+def _nonnegative_witness(v: list) -> AxiomWitness | None:
     for mask, x in enumerate(v):
         if x < 0:
             return AxiomWitness("nonnegative", (mask,))
     return None
 
 
-def _monotone_witness(v: list[int], n: int) -> AxiomWitness | None:
+def _monotone_witness(v: list, n: int) -> AxiomWitness | None:
     # Single-element steps suffice: any violating pair A < B yields a
     # violating step somewhere along a chain between them.
     for mask, x in enumerate(v):
@@ -73,16 +73,18 @@ def _monotone_witness(v: list[int], n: int) -> AxiomWitness | None:
     return None
 
 
-def _submodular_witness(v: list[int], n: int) -> AxiomWitness | None:
+def _submodular_witness(v: list, n: int) -> AxiomWitness | None:
     # Local exchange form: f(A+i) + f(A+j) >= f(A+i+j) + f(A) for i, j not
-    # in A.  Equivalent to submodularity on arbitrary pairs.
+    # in A.  Equivalent to submodularity on arbitrary pairs.  Comparing the
+    # two gains of i keeps each Fraction difference to two denominators when
+    # the scan runs on Fractions.
     for mask, x in enumerate(v):
         free = [i for i in range(n) if not mask >> i & 1]
         for a, i in enumerate(free):
             with_i = mask | 1 << i
             gain = v[with_i] - x
             for j in free[a + 1:]:
-                if gain + v[mask | 1 << j] < v[with_i | 1 << j]:
+                if v[with_i | 1 << j] - v[mask | 1 << j] > gain:
                     return AxiomWitness("submodular", (mask,), (i, j))
     return None
 
@@ -92,13 +94,15 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
 
     The witness, when present, is the first violation found scanning
     non-negativity, then monotonicity, then submodularity, each in subset
-    order.  The scans read the table as ints over its common denominator.
+    order.  The scans read the table as ints over its common denominator,
+    or as the ``Fraction`` values when that denominator would be too long.
     """
     d, v = _common_denominator(f.values)
     n = f.ground.n
     w_nonneg = _nonnegative_witness(v)
     w_mono = _monotone_witness(v, n)
     w_sub = _submodular_witness(v, n)
+    # d is None only past 512 bits, so never for an integer table
     integer = d == 1
     is_poly = w_nonneg is None and w_mono is None and w_sub is None
     is_matroid = (

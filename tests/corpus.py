@@ -174,6 +174,32 @@ def rational_sum_table(seed: int, n: int, terms: int = 6) -> SetFunction:
     )
 
 
+def distinct_primes(count: int) -> list[int]:
+    """The first ``count`` primes past 5."""
+    out, candidate = [], 7
+    while len(out) < count:
+        if all(candidate % p for p in out if p * p <= candidate) and candidate % 3 and candidate % 5:
+            out.append(candidate)
+        candidate += 2
+    return out
+
+
+def coprime_denominator_table(n: int) -> SetFunction:
+    """A polymatroid whose 2^n values carry 2^n distinct prime denominators.
+
+    r(A) adds n, n-1, ... over the |A| elements, plus 1/p for a prime p of
+    its own.  The concave part leaves a margin of 1 in every monotone step
+    and local exchange, which shifts of at most 1/7 cannot close.  The lcm
+    of the denominators is their product, which outgrows the kernels' int
+    form from n = 7 on.
+    """
+    primes = distinct_primes(1 << n)
+    return SetFunction(
+        GroundSet(tuple(f"e{i}" for i in range(n))),
+        [sum(range(n, n - m.bit_count(), -1)) + Fraction(1, primes[m]) for m in range(1 << n)],
+    )
+
+
 def random_family_lattice(rng: random.Random, ground: GroundSet, top: int) -> RankedLattice:
     """Random family inside ``top``, closed under union and intersection,
     with random non-negative ranks over mixed denominators.

@@ -18,6 +18,7 @@ from polyflats import (
     validate_lattice,
     verify_main_theorem,
 )
+from polyflats.model import _common_denominator
 
 import _oracles
 import corpus
@@ -165,6 +166,22 @@ def test_convolve_lattices_matches_pair_scan_reference(harvested_pairs):
         assert got == _oracles.convolve_lattices_reference(first, second)
         partial_cover += first.top | second.top != g.full
     assert partial_cover > 100
+
+
+def test_convolutions_match_references_past_the_int_bound():
+    # ranks |Z| + 1/p with a prime p per member: the lcm is too long for the
+    # int form on seven elements and short enough on four
+    primes = corpus.distinct_primes(128)
+    for labels, past_bound in (("abcd", False), ("abcdefg", True)):
+        g = ground(labels)
+        lat = validate_lattice(g, [(m, m.bit_count() + Fraction(1, primes[m])) for m in g.subsets()])
+        mu = Measure(g, [Fraction(i % 3, 2) for i in range(g.n)])
+        assert (_common_denominator(lat.ranks + mu.singleton)[0] is None) == past_bound
+        assert convolve(lat, mu) == _oracles.convolve_reference(lat, mu)
+        half = validate_lattice(g, [(m, r) for m, r in lat.items() if m & 1 == 0 or m == g.full])
+        odd = validate_lattice(g, [(m, r) for m, r in lat.items() if m & 0b10 or m == 0])
+        assert (_common_denominator(half.ranks + odd.ranks)[0] is None) == past_bound
+        assert convolve_lattices(half, odd) == _oracles.convolve_lattices_reference(half, odd)
 
 
 def test_convolve_on_the_boolean_lattice_of_ten_elements():

@@ -15,6 +15,7 @@ from polyflats import (
     submasks,
     to_fraction,
 )
+from polyflats.model import _LCM_BITS_SLACK, _common_denominator
 
 
 def test_to_fraction_accepts_exact_inputs():
@@ -32,6 +33,29 @@ def test_to_fraction_rejects_floats():
 def test_fraction_arithmetic_is_exact(a, b):
     assert to_fraction(a) + to_fraction(b) == a + b
     assert (a + b) - b == a
+
+
+def test_common_denominator_scales_to_ints():
+    values = (Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5))
+    assert _common_denominator(values) == (12, [2, -9, 0, 60])
+    assert _common_denominator((Fraction(2), Fraction(-1))) == (1, [2, -1])
+
+
+def test_common_denominator_keeps_fractions_past_the_bound():
+    # d = 2^a * 3^40 gains a bit per step of a, the bound (512 bits plus
+    # twice the mean denominator length) half a bit
+    kinds = []
+    for a in range(900, 1100):
+        values = (Fraction(1, 2**a), Fraction(1, 3**40), Fraction(0), Fraction(5))
+        d, scaled = _common_denominator(values)
+        lcm = 2**a * 3**40
+        mean_bits = (a + 1 + (3**40).bit_length() + 2) / 4
+        if lcm.bit_length() <= _LCM_BITS_SLACK + 2 * mean_bits:
+            assert (d, scaled) == (lcm, [3**40, 2**a, 0, 5 * lcm])
+        else:
+            assert d is None and scaled == list(values)
+        kinds.append(d is None)
+    assert kinds == sorted(kinds) and 0 < kinds.count(True) < len(kinds)
 
 
 def test_bits_and_submasks():

@@ -23,6 +23,8 @@ from polyflats import (
     uniform_matroid,
 )
 
+from polyflats.model import _common_denominator
+
 import _oracles
 import corpus
 
@@ -156,6 +158,27 @@ def test_axiom_scan_matches_fraction_reference_on_corrupted_tables():
     for axiom in ("nonnegative", "monotone", "submodular", "none"):
         for third in range(3):
             assert seen[axiom, third] > 0, (axiom, third)
+
+
+def test_axiom_scan_matches_fraction_reference_past_the_int_bound():
+    # Distinct prime denominators: up to n = 6 their lcm is short enough for
+    # the int form, from n = 7 on the scans run on the Fractions.
+    rng = random.Random(7919)
+    seen = Counter()
+    for n in range(2, 9):
+        f = corpus.coprime_denominator_table(n)
+        assert (_common_denominator(f.values)[0] is None) == (n >= 7)
+        report = check_polymatroid(f)
+        assert report.is_polymatroid and not report.integer_valued
+        assert report == _oracles.check_polymatroid_reference(f)
+        for third in [0, 1, 2] * 8:
+            g = _corrupt(rng, f, third)
+            got = check_polymatroid(g)
+            assert got == _oracles.check_polymatroid_reference(g)
+            seen[got.witness.axiom if got.witness else "none", n >= 7] += 1
+    for axiom in ("nonnegative", "monotone", "submodular"):
+        for past_bound in (False, True):
+            assert seen[axiom, past_bound] > 0, (axiom, past_bound)
 
 
 def test_axiom_scan_at_fourteen_and_twelve_elements():
