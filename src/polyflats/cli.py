@@ -260,8 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: each parse fills a fresh namespace and leaves the parser as is.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

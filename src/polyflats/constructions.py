@@ -210,8 +210,6 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
             block |= 1 << position
             position += 1
         blocks.append(block)
-    if len(set(names)) != len(names):
-        raise ValueError("expanded labels collide; rename the original elements")
     expanded = GroundSet(tuple(names))
     emap = ExpansionMap(f.ground, expanded, tuple(blocks))
 
@@ -273,18 +271,12 @@ class InfiltrationSpec:
         return GroundSet(kept + self.guest.ground.names)
 
 
-def _split(spec: InfiltrationSpec, mask: int) -> tuple[int, int]:
-    """Split a result-ground mask into (host mask, guest mask)."""
-    kept = spec.kept_indices
-    m_count = len(kept)
-    host_mask = 0
-    guest_mask = 0
-    for pos in bits(mask):
-        if pos < m_count:
-            host_mask |= 1 << kept[pos]
-        else:
-            guest_mask |= 1 << (pos - m_count)
-    return host_mask, guest_mask
+def _split(mask: int, pivot: int, m: int) -> tuple[int, int]:
+    """Split a result-ground mask into (host mask, guest mask): the low m
+    bits, with a 0 inserted at the pivot's index, and the bits above them."""
+    kept = mask & ((1 << m) - 1)
+    low = kept & ((1 << pivot) - 1)
+    return low | (kept ^ low) << 1, mask >> m
 
 
 def infiltrate(spec: InfiltrationSpec) -> SetFunction:
@@ -296,12 +288,12 @@ def infiltrate(spec: InfiltrationSpec) -> SetFunction:
         r(A) = min( host(A&M) + guest(A&P),  host((A&M) + pivot) )
     """
     ground = spec.result_ground()
-    pivot_bit = spec.host.ground.singleton(spec.pivot)
+    pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
     values = []
     for a in ground.subsets():
-        host_mask, guest_mask = _split(spec, a)
+        host_mask, guest_mask = _split(a, pivot, m)
         direct = spec.host.values[host_mask] + spec.guest.values[guest_mask]
-        swallow = spec.host.values[host_mask | pivot_bit]
+        swallow = spec.host.values[host_mask | 1 << pivot]
         values.append(min(direct, swallow))
     return SetFunction(ground, values)
 
@@ -318,20 +310,17 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
     if spec.guest.values[0] != 0:
         raise ValueError("lattice route needs a guest with zero empty-set rank")
     ground = spec.result_ground()
-    m_count = len(spec.kept_indices)
-    host_part = (1 << m_count) - 1
+    pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
+    host_part = (1 << m) - 1
     guest_part = ground.full & ~host_part
-    pivot_bit = spec.host.ground.singleton(spec.pivot)
 
     first: dict[int, Fraction] = {}
     for small in submasks(host_part):
-        host_mask, _ = _split(spec, small)
+        host_mask, _ = _split(small, pivot, m)
         first[small] = spec.host.values[host_mask]
         # With an empty guest the pivot is a loop, so the overwrite is a no-op.
-        first[small | guest_part] = spec.host.values[host_mask | pivot_bit]
-    second = [
-        (mask, spec.guest.values[mask >> m_count]) for mask in submasks(guest_part)
-    ]
+        first[small | guest_part] = spec.host.values[host_mask | 1 << pivot]
+    second = [(mask, spec.guest.values[mask >> m]) for mask in submasks(guest_part)]
 
     lattice_one = validate_lattice(ground, first.items())
     lattice_two = validate_lattice(ground, second)

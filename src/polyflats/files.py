@@ -1,13 +1,13 @@
 """JSON file formats and DOT output.
 
-Three document shapes, all UTF-8 JSON:
+Three document shapes, all UTF-8 JSON with no key repeated in an object:
 
 * polymatroid: ``{"ground": [labels...], "rank": {subset-key: rational}}``
 * lattice:     ``{"ground": [labels...], "elements": [{"set": [labels...], "rank": rational}]}``
 * measure:     ``{label: rational, ...}`` (ground set comes from the paired lattice)
 
 A subset key is the sorted member labels joined by commas; the empty string
-is the empty set.  Rationals are ``p`` or ``p/q`` with q positive.  Writers
+is the empty set.  Rationals are ``p`` or ``p/q`` in ASCII digits.  Writers
 emit subsets ordered by (cardinality, labels), so write -> read -> write is
 byte-identical.
 """
@@ -23,11 +23,11 @@ from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
 from .model import FileFormatError, GroundSet, Measure, SetFunction, format_rational
 
-RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
         raise FileFormatError(f"bad rational {text!r}: expected p or p/q")
     try:
         return Fraction(text)
@@ -195,15 +195,27 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _distinct_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FileFormatError(f"key {key!r} repeats in an object")
+        doc[key] = value
+    return doc
+
+
 def _load(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or a number literal with too many digits
+        return json.loads(text, object_pairs_hook=_distinct_keys)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a number literal with too many digits, or nesting
+        # too deep for the parser
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
 
 

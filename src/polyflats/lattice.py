@@ -15,6 +15,10 @@ smaller than the set intersection.
 * C4   mu(a) <= rank(Z) whenever a lies in member Z
 * C5a  rank(Z) > 0 for every member other than the bottom
 * C5b  mu(a) > 0 for every ground element outside the bottom
+
+The measure is read as point masses, never as a table of all subsets: C2
+and C* take mu(Z2 - Z1) as mu(Z2) - mu(Z1), and C3 visits only the
+incomparable pairs, since a comparable pair holds it with equality.
 """
 
 from __future__ import annotations
@@ -302,13 +306,13 @@ def _check_c1(lattice: RankedLattice) -> Verdict:
     )
 
 
-def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
+def _check_nested(lattice: RankedLattice, weights) -> tuple[Verdict, Verdict]:
     """C2 and C* in one scan over the nested pairs Zi inside Zj.
 
     The pairs come from ``_above[i]`` without Zi itself, so j > i ascends
     as in a scan over every pair; each condition keeps its own first
     failing pair.  A C2 failure is also a C* failure, so the scan ends at
-    the first C2 witness.
+    the first C2 witness.  ``weights`` holds the member measures.
     """
     members, ranks = lattice.members, lattice.ranks
     cstar = None
@@ -316,7 +320,7 @@ def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
         for j in bits(lattice._above[i] & ~(1 << i)):
             z2 = members[j]
             diff = ranks[j] - ranks[i]
-            gap = mu_table[z2 & ~z1]
+            gap = weights[j] - weights[i]
             if cstar is None:
                 if diff <= 0:
                     cstar = Witness("C*", (z1, z2), diff, ">", Fraction(0))
@@ -332,21 +336,17 @@ def _check_nested(lattice: RankedLattice, mu_table) -> tuple[Verdict, Verdict]:
     return Verdict(True), Verdict(cstar is None, cstar)
 
 
-def _check_c3(lattice: RankedLattice, mu_table) -> Verdict:
-    # Scanned over every pair, comparable ones included; those hold
-    # identically, so a violation citing a nested pair would mean a bug in
-    # the order bitsets rather than in the input.
-    k = len(lattice.members)
-    for i in range(k):
-        for j in range(i + 1, k):
-            z1, z2 = lattice.members[i], lattice.members[j]
+def _check_c3(lattice: RankedLattice, mu: Measure) -> Verdict:
+    """C3 over the incomparable pairs j > i, in index order."""
+    members, ranks = lattice.members, lattice.ranks
+    k = len(members)
+    for i, z1 in enumerate(members):
+        later = (1 << k) - (2 << i)
+        for j in bits(later & ~lattice._above[i]):
+            z2 = members[j]
             meet, join = lattice._meet(i, j), lattice._join(i, j)
-            left = lattice.ranks[i] + lattice.ranks[j]
-            right = (
-                lattice.ranks[join]
-                + lattice.ranks[meet]
-                + mu_table[(z1 & z2) & ~lattice.members[meet]]
-            )
+            left = ranks[i] + ranks[j]
+            right = ranks[join] + ranks[meet] + mu(z1 & z2 & ~members[meet])
             if left < right:
                 return Verdict(False, Witness("C3", (z1, z2), left, ">=", right))
     return Verdict(True)
@@ -391,16 +391,16 @@ def _check_c5b(lattice: RankedLattice, mu: Measure) -> Verdict:
 
 def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     """Evaluate all seven conditions; each failure carries the first witness
-    in scan order (members ordered by cardinality then bit pattern)."""
+    in scan order (members ordered by cardinality then bit pattern, C3 over
+    incomparable pairs only)."""
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
-    mu_table = mu.table()
-    c2, cstar = _check_nested(lattice, mu_table)
+    c2, cstar = _check_nested(lattice, [mu(z) for z in lattice.members])
     return ConditionReport(
         c1=_check_c1(lattice),
         c2=c2,
         cstar=cstar,
-        c3=_check_c3(lattice, mu_table),
+        c3=_check_c3(lattice, mu),
         c4=_check_c4(lattice, mu),
         c5a=_check_c5a(lattice),
         c5b=_check_c5b(lattice, mu),

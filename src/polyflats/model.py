@@ -1,7 +1,9 @@
 """Ground sets, bitmask subsets, exact values, measures and dense set functions.
 
 A subset of a ground set is a plain ``int``: bit ``i`` set means element ``i``
-(in declaration order) belongs to the subset.  Every public value is a
+(in declaration order) belongs to the subset.  A measure is discrete: it
+holds one point mass per element, and the measure of a subset is the sum of
+its elements' masses, computed when asked for.  Every public value is a
 ``fractions.Fraction``; the strict inequalities used by the lattice condition
 checkers would be unsound under floating point, so floats are refused
 everywhere.
@@ -215,9 +217,9 @@ class SetFunction:
 
 
 class Measure:
-    """Additive set function given by per-element values, all non-negative."""
+    """Additive set function held as its point masses, all non-negative."""
 
-    __slots__ = ("ground", "singleton", "_table")
+    __slots__ = ("ground", "singleton")
 
     def __init__(self, ground: GroundSet, singleton: Iterable[Rational]):
         values = tuple(to_fraction(v) for v in singleton)
@@ -228,20 +230,15 @@ class Measure:
                 raise ValueError(f"negative measure {v} for element {ground.names[i]!r}")
         self.ground = ground
         self.singleton = values
-        self._table: tuple[Fraction, ...] | None = None
 
     def table(self) -> tuple[Fraction, ...]:
-        """Dense measure of every subset; computed once, then cached."""
-        if self._table is None:
-            acc = [Fraction(0)] * (1 << self.ground.n)
-            for mask in range(1, 1 << self.ground.n):
-                low = mask & -mask
-                acc[mask] = acc[mask ^ low] + self.singleton[low.bit_length() - 1]
-            self._table = tuple(acc)
-        return self._table
+        """Dense measure of every subset, built on each call."""
+        return tuple(self(mask) for mask in self.ground.subsets())
 
     def __call__(self, subset: int) -> Fraction:
-        return self.table()[self.ground.check_mask(subset)]
+        return sum(
+            (self.singleton[i] for i in bits(self.ground.check_mask(subset))), Fraction(0)
+        )
 
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for v in self.singleton)

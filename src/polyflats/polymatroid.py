@@ -4,7 +4,9 @@ A polymatroid here is a set function that is non-negative, monotone and
 submodular.  A matroid is an integer polymatroid whose singleton ranks are
 all 0 or 1.  Cyclic flats are the flats in which every element is either a
 loop or has conditional rank strictly below its singleton rank; for a
-polymatroid they always form a lattice under inclusion.
+polymatroid they always form a lattice under inclusion.  ``closure``,
+``max_cyclic_flat`` and ``cyclic_flats`` assume a polymatroid, which lets
+the first two work in one pass over the elements.
 """
 
 from __future__ import annotations
@@ -139,24 +141,20 @@ def coloops(f: SetFunction) -> int:
 
 
 def closure(f: SetFunction, subset: int) -> int:
-    """Smallest superset of ``subset`` that absorbs no further element.
+    """Smallest flat containing ``subset``, for a polymatroid ``f``.
 
-    Repeatedly adds every element whose conditional rank over the current
-    set is zero, until nothing changes.
+    One pass adds every element of conditional rank zero over ``subset``:
+    together they add nothing (submodularity), so no other element has
+    conditional rank zero over the result (monotonicity).
     """
     f.ground.check_mask(subset)
-    current = subset
-    changed = True
-    while changed:
-        changed = False
-        for i in range(f.ground.n):
-            bit = 1 << i
-            if current & bit:
-                continue
-            if f.values[current | bit] == f.values[current]:
-                current |= bit
-                changed = True
-    return current
+    base = f.values[subset]
+    out = subset
+    for i in range(f.ground.n):
+        bit = 1 << i
+        if not subset & bit and f.values[subset | bit] == base:
+            out |= bit
+    return out
 
 
 def is_flat(f: SetFunction, subset: int) -> bool:
@@ -194,24 +192,22 @@ def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
 
 
 def max_cyclic_flat(f: SetFunction, flat: int) -> int:
-    """Largest cyclic flat inside ``flat``.
+    """Largest cyclic flat inside ``flat``, for a polymatroid ``f``.
 
-    Repeatedly drops the lowest-index non-loop whose conditional rank over
-    the rest equals its singleton rank.  The result does not depend on the
-    removal order; lowest-index is just the deterministic choice.
+    One pass drops every non-loop i with f(F) - f(F-i) = f(i).  Dropping
+    such an i changes no other element's conditional rank: f(F-j) - f(F-i-j)
+    lies between f(F) - f(F-i) = f(i) (submodularity) and f(i), so
+    f(F) - f(F-j) = f(F-i) - f(F-i-j).
     """
     if not is_flat(f, flat):
         raise NotAFlat(f"{f.ground.describe(flat)} is not a flat")
-    current = flat
-    while True:
-        for i in bits(current):
-            bit = 1 << i
-            single = f.values[bit]
-            if single > 0 and f.values[current] - f.values[current ^ bit] == single:
-                current ^= bit
-                break
-        else:
-            return current
+    top = f.values[flat]
+    out = flat
+    for i in bits(flat):
+        single = f.values[1 << i]
+        if single > 0 and top - f.values[flat ^ (1 << i)] == single:
+            out ^= 1 << i
+    return out
 
 
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from polyflats import (
     AxiomWitness,
+    ConditionReport,
     GroundSet,
     NotALattice,
     PolymatroidReport,
@@ -287,6 +288,62 @@ def nested_conditions_reference(lattice, mu) -> tuple:
         return None
 
     return first("C2", c2), first("C*", cstar)
+
+
+def check_conditions_reference(lattice, mu) -> ConditionReport:
+    """The full report from the dense measure table: C2 and C* as in
+    ``nested_conditions_reference``, C3 over every pair i < j of member
+    indices, comparable ones included, and the per-member and per-element
+    conditions in member and element order."""
+    table = mu.table()
+    members, ranks, k = lattice.members, lattice.ranks, len(lattice)
+    zero = Fraction(0)
+
+    def verdict(witness):
+        return Verdict(witness is None, witness)
+
+    c1 = None if ranks[0] == 0 else Witness("C1", (members[0],), ranks[0], "==", zero)
+    c2, cstar = nested_conditions_reference(lattice, mu)
+
+    def first_c3():
+        for i in range(k):
+            for j in range(i + 1, k):
+                z1, z2 = members[i], members[j]
+                meet = lattice.meet(z1, z2)
+                left = ranks[i] + ranks[j]
+                right = (
+                    lattice.rank_of(lattice.join(z1, z2))
+                    + lattice.rank_of(meet)
+                    + table[z1 & z2 & ~meet]
+                )
+                if left < right:
+                    return Witness("C3", (z1, z2), left, ">=", right)
+        return None
+
+    c4 = next(
+        (
+            Witness("C4", (z,), mu.singleton[a], "<=", r, element=a)
+            for z, r in zip(members, ranks)
+            for a in range(lattice.ground.n)
+            if z >> a & 1 and mu.singleton[a] > r
+        ),
+        None,
+    )
+    c5a = next(
+        (Witness("C5a", (z,), r, ">", zero) for z, r in zip(members[1:], ranks[1:]) if r <= 0),
+        None,
+    )
+    c5b = next(
+        (
+            Witness("C5b", (), mu.singleton[a], ">", zero, element=a)
+            for a in range(lattice.ground.n)
+            if not members[0] >> a & 1 and mu.singleton[a] <= 0
+        ),
+        None,
+    )
+    return ConditionReport(
+        verdict(c1), c2, cstar, verdict(first_c3()), verdict(c4), verdict(c5a), verdict(c5b)
+    )
 
 
 def _relation_holds(lhs, relation, rhs) -> bool:

@@ -458,3 +458,62 @@ def test_cli_matches_library_on_random_inputs(tmp_path, capsys):
         assert read_polymatroid(back) == f
         code, _, _ = invoke(capsys, "verify", str(lat), str(mu))
         assert code == 0
+
+
+def test_reconstruct_refuses_non_polymatroid(tmp_path, capsys):
+    src = write_doc(tmp_path / "bad.json", {"ground": ["a"], "rank": {"": "1", "a": "0"}})
+    code, text, _ = invoke(capsys, "reconstruct", src)
+    assert code == 1
+    assert text == "not a polymatroid: monotone fails at {}, {a}\n"
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    # the parser is built once; an -o given to one call must not reach the next
+    out = tmp_path / "u.json"
+    code, text, _ = invoke(capsys, "gen", "uniform", "-k", "1", "-n", "2", "-o", str(out))
+    assert (code, text) == (0, "")
+    code, text, _ = invoke(capsys, "gen", "uniform", "-k", "1", "-n", "2")
+    assert code == 0
+    assert text == out.read_text(encoding="utf-8")
+
+
+GOOD_LATTICE = (
+    b'{"ground": ["x", "y"], "elements": '
+    b'[{"set": [], "rank": "0"}, {"set": ["x", "y"], "rank": "3"}]}'
+)
+GOOD_MEASURE = b'{"x": "2", "y": "2"}'
+
+
+@pytest.mark.parametrize(
+    "command, contents, message",
+    [
+        ("check", [b'{"ground": ["\xe9"], "rank": {"": "0"}}'], "codec can't decode byte 0xe9"),
+        ("check", [b"[" * 100_000 + b"]" * 100_000], "is not valid JSON"),
+        (
+            "check",
+            [b'{"ground": ["a"], "rank": {"": "0", "a": "1", "a": "-1"}}'],
+            "key 'a' repeats in an object",
+        ),
+        ("axioms", [GOOD_LATTICE, b'{"x": "1", "x": "0", "y": "1"}'], "key 'x' repeats"),
+        (
+            "axioms",
+            [
+                b'{"ground": ["x"], "elements": [{"set": [], "rank": "0", "rank": "5"}]}',
+                b'{"x": "1"}',
+            ],
+            "key 'rank' repeats",
+        ),
+    ],
+    ids=["non_utf8", "deep_nesting", "repeated_rank_key", "repeated_measure_key",
+         "repeated_member_rank"],
+)
+def test_unreadable_documents_are_usage_errors(tmp_path, capsys, command, contents, message):
+    paths = []
+    for i, data in enumerate(contents):
+        path = tmp_path / f"in{i}.json"
+        path.write_bytes(data)
+        paths.append(str(path))
+    code, text, err = invoke(capsys, command, *paths)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert any(path in err for path in paths)

@@ -77,6 +77,8 @@ def test_graphic_matroid_bad_parameters():
         graphic_matroid(2, [(0, 2)])
     with pytest.raises(BadParameters):
         graphic_matroid(2, [(0,)])
+    with pytest.raises(BadParameters, match="at most 20 edges"):
+        graphic_matroid(2, [(0, 1)] * 21)
 
 
 def test_weighted_cover_sum_table():

@@ -247,6 +247,59 @@ def test_verify_reports_non_polymatroid_output():
     assert not report.round_trip_ok
 
 
+@pytest.mark.parametrize(
+    "labels, members, weights, described",
+    [
+        (
+            "abc",
+            [("", "3"), ("ac", "5/2"), ("bc", "5/2"), ("abc", "3")],
+            [2, 4, "1/2"],
+            ["convolution output fails the polymatroid axioms"],
+        ),
+        (
+            "abcd",
+            [("", "3"), ("abd", "6"), ("abcd", "5")],
+            [1, 1, "1/2", 4],
+            [
+                "{a,b,d} is not a cyclic flat of the output",
+                "{a} is a cyclic flat of the output but not a member",
+                "{b} is a cyclic flat of the output but not a member",
+                "{c} is a cyclic flat of the output but not a member",
+                "{a,c} is a cyclic flat of the output but not a member",
+                "{b,c} is a cyclic flat of the output but not a member",
+                "element a has output rank 4, expected 1",
+                "element b has output rank 4, expected 1",
+                "element c has output rank 7/2, expected 1/2",
+                "element d has output rank 5, expected 4",
+            ],
+        ),
+        (
+            "abcd",
+            [("", "1"), ("d", "5"), ("abd", "3"), ("acd", "2"), ("bcd", "1"), ("abcd", "5/2")],
+            [0, "3/2", 1, "3/2"],
+            [
+                "{} is not a cyclic flat of the output",
+                "{d} is not a cyclic flat of the output",
+                "{a,b,d} is not a cyclic flat of the output",
+                "{a,c,d} is not a cyclic flat of the output",
+                "{b,c,d} is not a cyclic flat of the output",
+                "{a,b,c,d} has output rank 1, member rank 5/2",
+                "element a has output rank 1, expected 0",
+                "element b has output rank 1, expected 3/2",
+                "element d has output rank 1, expected 3/2",
+            ],
+        ),
+    ],
+    ids=["not_polymatroid", "unexpected_cyclic_flat", "rank_differs"],
+)
+def test_verify_describes_every_mismatch_kind(labels, members, weights, described):
+    g = ground(labels)
+    lat = validate_lattice(g, [(g.subset(s), Fraction(r)) for s, r in members])
+    report = verify_main_theorem(lat, mu_from(g, weights))
+    assert [m.describe(g) for m in report.mismatches] == described
+    assert not report.round_trip_ok
+
+
 def test_verify_recovers_every_harvested_pair(harvested_pairs):
     for _, lat, mu in harvested_pairs[:80]:
         report = verify_main_theorem(lat, mu)

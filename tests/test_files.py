@@ -45,7 +45,10 @@ def test_rational_formats():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1/0", "", " 1", "1 ", "a", "1/-2", None, 3])
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", "1/0", "", " 1", "1 ", "a", "1/-2", None, 3, "1\n", "\u0661/\u0662", "\uff11"],
+)
 def test_rational_rejects_inexact_spellings(bad):
     with pytest.raises(FileFormatError):
         parse_rational(bad)
@@ -124,6 +127,29 @@ def test_polymatroid_doc_errors():
         polymatroid_from_doc({"ground": ["x"], "rank": {"": "0", "x": "9" * 5000}})
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("ab", "'ground' must be a list of labels"),
+        (["a", 1], "'ground' must be a list of labels"),
+        (["a", "b", "a"], "duplicate element label 'a'"),
+        ([f"e{i}" for i in range(21)], "ground set has 21 elements, limit is 20"),
+    ],
+    ids=["string", "number", "repeated", "over_limit"],
+)
+def test_ground_refusals(labels, message):
+    with pytest.raises(FileFormatError, match=message):
+        polymatroid_from_doc({"ground": labels, "rank": {}})
+
+
+def test_writers_refuse_labels_with_commas():
+    g = GroundSet(("a,b", "c"))
+    with pytest.raises(FileFormatError, match="contains a comma; not serializable"):
+        polymatroid_to_doc(SetFunction(g, [0, 1, 1, 1]))
+    with pytest.raises(FileFormatError, match="contains a comma; not serializable"):
+        lattice_to_doc(validate_lattice(g, [(0, 0), (0b11, 1)]))
+
+
 def test_polymatroid_file_round_trip_is_byte_identical(tmp_path):
     f = uniform_matroid(2, 4)
     first = tmp_path / "f1.json"
@@ -164,6 +190,10 @@ def test_lattice_doc_validates_the_family():
         lattice_from_doc({"ground": ["x"], "elements": [{"set": ["x"]}]})
     with pytest.raises(FileFormatError, match="elements"):
         lattice_from_doc({"ground": ["x"]})
+    with pytest.raises(FileFormatError, match="bad member set 'x'"):
+        lattice_from_doc({"ground": ["x"], "elements": [{"set": "x", "rank": "0"}]})
+    with pytest.raises(FileFormatError, match="element 'x' repeats in member"):
+        lattice_from_doc({"ground": ["x"], "elements": [{"set": ["x", "x"], "rank": "0"}]})
 
 
 def test_measure_doc_round_trip():

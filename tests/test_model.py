@@ -160,6 +160,20 @@ def test_measure_table_matches_singleton_sums():
     assert mu.is_integer_valued() is False
 
 
+def test_measure_table_is_the_sum_of_point_masses():
+    g = GroundSet(("x", "y", "z"))
+    mu = Measure(g, [Fraction(2), Fraction(3), Fraction(1, 2)])
+    assert mu.table() == tuple(
+        Fraction(v) for v in ("0", "2", "3", "5", "1/2", "5/2", "7/2", "11/2")
+    )
+
+
+def test_measure_needs_one_value_per_element():
+    g = GroundSet(("x", "y"))
+    with pytest.raises(ValueError, match="need 2 singleton values, got 3"):
+        Measure(g, [1, 1, 1])
+
+
 def test_measure_rejects_negative_singleton():
     g = GroundSet(("x", "y"))
     with pytest.raises(ValueError, match="y"):

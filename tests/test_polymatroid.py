@@ -70,6 +70,20 @@ def test_check_negative_value_reported_first():
     assert _oracles.axiom_witness_violates(f, rep.witness)
 
 
+@pytest.mark.parametrize(
+    "values, line",
+    [
+        ([0, -1, 2, 0], "nonnegative fails at {x}"),
+        ([0, 1, 1, 0], "monotone fails at {x}, {x,y}"),
+        ([0, 1, 1, 3], "submodular fails at {} with elements x, y"),
+    ],
+    ids=["nonnegative", "monotone", "submodular"],
+)
+def test_axiom_witness_lines(values, line):
+    f = table("xy", values)
+    assert check_polymatroid(f).witness.describe(f.ground) == line
+
+
 def test_check_fractional_polymatroid_is_not_matroid():
     f = corpus.scale_function(uniform_matroid(1, 2), Fraction(1, 2))
     rep = check_polymatroid(f)
