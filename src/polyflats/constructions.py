@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convolution import convolve, convolve_lattices
-from .lattice import RankedLattice, validate_lattice
+from .lattice import RankedLattice
 from .model import (
     MAX_GROUND_SIZE,
     GroundSet,
@@ -213,10 +213,9 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     expanded = GroundSet(tuple(names))
     emap = ExpansionMap(f.ground, expanded, tuple(blocks))
 
-    members = []
-    for a in f.ground.subsets():
-        members.append((emap.block_union(a), f.values[a]))
-    lattice = validate_lattice(expanded, members)
+    lattice = RankedLattice(
+        expanded, ((emap.block_union(a), f.values[a]) for a in f.ground.subsets())
+    )
 
     singles = []
     for i in range(f.ground.n):
@@ -322,6 +321,4 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
         first[small | guest_part] = spec.host.values[host_mask | 1 << pivot]
     second = [(mask, spec.guest.values[mask >> m]) for mask in submasks(guest_part)]
 
-    lattice_one = validate_lattice(ground, first.items())
-    lattice_two = validate_lattice(ground, second)
-    return convolve_lattices(lattice_one, lattice_two)
+    return convolve_lattices(RankedLattice(ground, first.items()), RankedLattice(ground, second))

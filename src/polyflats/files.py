@@ -78,9 +78,9 @@ def _ground_from_doc(doc) -> GroundSet:
         raise FileFormatError(str(exc)) from None
 
 
-def _ordered(ground: GroundSet, masks) -> list[int]:
-    """The file order: by cardinality, then by sorted labels."""
-    return sorted(masks, key=lambda m: (m.bit_count(), ground.sorted_labels(m)))
+def _ordered(ground: GroundSet, masks) -> list[tuple[tuple[str, ...], int]]:
+    """(sorted labels, mask) pairs in the file order: by cardinality, then labels."""
+    return sorted(((ground.sorted_labels(m), m) for m in masks), key=lambda p: (len(p[0]), p[0]))
 
 
 def polymatroid_to_doc(f: SetFunction) -> dict:
@@ -88,8 +88,8 @@ def polymatroid_to_doc(f: SetFunction) -> dict:
         if "," in label:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
     rank = {
-        subset_key(f.ground, m): format_rational(f.values[m])
-        for m in _ordered(f.ground, f.ground.subsets())
+        ",".join(labels): format_rational(f.values[m])
+        for labels, m in _ordered(f.ground, f.ground.subsets())
     }
     return {"ground": list(f.ground.names), "rank": rank}
 
@@ -107,8 +107,8 @@ def polymatroid_from_doc(doc) -> SetFunction:
         values[mask] = parse_rational(text)
     missing = [m for m, v in enumerate(values) if v is None]
     if missing:
-        first = _ordered(ground, missing)[0]
-        raise FileFormatError(f"missing subset {subset_key(ground, first)!r}")
+        labels, _ = _ordered(ground, missing)[0]
+        raise FileFormatError(f"missing subset {','.join(labels)!r}")
     return SetFunction(ground, values)
 
 
@@ -120,11 +120,8 @@ def lattice_to_doc(lattice: RankedLattice) -> dict:
     return {
         "ground": list(ground.names),
         "elements": [
-            {
-                "set": list(ground.sorted_labels(m)),
-                "rank": format_rational(lattice.rank_of(m)),
-            }
-            for m in _ordered(ground, lattice.members)
+            {"set": list(labels), "rank": format_rational(lattice.rank_of(m))}
+            for labels, m in _ordered(ground, lattice.members)
         ],
     }
 
@@ -247,12 +244,12 @@ def lattice_dot(lattice: RankedLattice) -> str:
     """Hasse diagram in DOT, nodes ordered by (cardinality, labels)."""
     ground = lattice.ground
     ordered = _ordered(ground, lattice.members)
-    node_id = {m: i for i, m in enumerate(ordered)}
+    node_id = {m: i for i, (_, m) in enumerate(ordered)}
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for m in ordered:
-        name = ground.describe(m).replace("\\", "\\\\").replace('"', '\\"')
+    for i, (labels, m) in enumerate(ordered):
+        name = ("{" + ",".join(labels) + "}").replace("\\", "\\\\").replace('"', '\\"')
         label = f"{name}\\n{format_rational(lattice.rank_of(m))}"
-        lines.append(f'  n{node_id[m]} [label="{label}"];')
+        lines.append(f'  n{i} [label="{label}"];')
     for low, high in sorted((node_id[a], node_id[b]) for a, b in lattice.covers()):
         lines.append(f"  n{low} -> n{high};")
     lines.append("}")

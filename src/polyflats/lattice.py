@@ -61,24 +61,36 @@ class ElementNotInLattice(LatticeError):
 
 
 class RankedLattice:
-    """A validated family of ranked subsets; build one via ``validate_lattice``.
+    """A ranked family of subsets, sorted and with its order recorded.
 
-    Members are stored sorted by (cardinality, bit pattern), so the bottom is
+    Members are sorted by (cardinality, bit pattern), so the bottom is
     ``members[0]`` and the top is ``members[-1]``.  The order is held as two
     tuples of bitsets over member indices: bit t of ``_below[i]`` is set when
     member t lies inside member i, bit t of ``_above[i]`` when member t
-    contains member i (both include i itself).  Instances are immutable.
+    contains member i (both include i itself).  The constructor checks
+    nothing; ``validate_lattice`` is the check for families from outside the
+    library, whose own families are lattices by construction.  Immutable.
     """
 
     __slots__ = ("ground", "members", "ranks", "_below", "_above", "_index")
 
-    def __init__(self, ground, members, ranks, below, above, index):
+    def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
+        ranked = sorted(family, key=lambda pair: (pair[0].bit_count(), pair[0]))
+        members = tuple(m for m, _ in ranked)
+        k = len(members)
+        below, above = [0] * k, [0] * k
+        # Distinct members in cardinality order: Zi inside Zj forces i <= j.
+        for i, low in enumerate(members):
+            for j in range(i, k):
+                if not low & ~members[j]:
+                    below[j] |= 1 << i
+                    above[i] |= 1 << j
         self.ground = ground
         self.members = members
-        self.ranks = ranks
-        self._below = below
-        self._above = above
-        self._index = index
+        self.ranks = tuple(r for _, r in ranked)
+        self._below = tuple(below)
+        self._above = tuple(above)
+        self._index = {m: i for i, m in enumerate(members)}
 
     @property
     def bottom(self) -> int:
@@ -135,14 +147,6 @@ class RankedLattice:
                     out.append((self.members[i], self.members[j]))
         return out
 
-    def _replace_ranks(self, ranks: tuple[Fraction, ...]) -> "RankedLattice":
-        # Same family and order, new ranks.  Skips validate_lattice on
-        # purpose: rank sign is not re-checked here, which lets the pointed
-        # normalization stay total even when the bottom is not minimal-ranked.
-        return RankedLattice(
-            self.ground, self.members, ranks, self._below, self._above, self._index
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedLattice):
             return NotImplemented
@@ -165,13 +169,14 @@ class RankedLattice:
 def validate_lattice(
     ground: GroundSet, elements: Iterable[tuple[int, Rational]]
 ) -> RankedLattice:
-    """Check a ranked family and record its order as member bitsets.
+    """Check a ranked family from outside the library and build its lattice.
 
-    Every pair i <= j in member order needs a greatest lower bound (the last
-    common lower bound, if it contains all of them) and a least upper bound
-    (the first common upper bound, if it lies inside all of them).  Raises
-    DuplicateElement for repeated subsets and NotALattice with the first
-    offending pair and reason.  Ranks must be >= 0.
+    Each member must be a subset of ``ground``, appear once (else
+    DuplicateElement) and carry a rank >= 0, and the family must not be
+    empty.  Then every pair i <= j in member order needs a greatest lower
+    bound (the last common lower bound, if it contains all of them) and a
+    least upper bound (the first common upper bound, if it lies inside all
+    of them); NotALattice names the first offending pair and the reason.
     """
     raw: dict[int, Fraction] = {}
     for mask, rank in elements:
@@ -187,20 +192,10 @@ def validate_lattice(
     if not raw:
         raise LatticeError("empty family: a lattice needs at least one member")
 
-    members = tuple(sorted(raw, key=lambda m: (m.bit_count(), m)))
-    ranks = tuple(raw[m] for m in members)
-    index = {m: i for i, m in enumerate(members)}
-    k = len(members)
-    below, above = [0] * k, [0] * k
-    # Distinct members in cardinality order: Zi inside Zj forces i <= j.
-    for i, low in enumerate(members):
-        for j in range(i, k):
-            if not low & ~members[j]:
-                below[j] |= 1 << i
-                above[i] |= 1 << j
-    lattice = RankedLattice(ground, members, ranks, tuple(below), tuple(above), index)
-    for i in range(k):
-        for j in range(i, k):
+    lattice = RankedLattice(ground, raw.items())
+    members = lattice.members
+    for i in range(len(members)):
+        for j in range(i, len(members)):
             if lattice._meet(i, j) is None:
                 raise NotALattice(ground, members[i], members[j], "no unique lower bound")
             if lattice._join(i, j) is None:
@@ -213,12 +208,13 @@ def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
 
     The nested-difference and pair conditions (C2, C*, C3) are invariant
     under this shift.  If some member ranked below the bottom, the result
-    carries a negative rank, which C2 then flags.
+    carries a negative rank, which C2 then flags; ranks are not checked
+    here, so the shift never raises.
     """
     base = lattice.ranks[0]
     if base == 0:
         return lattice
-    return lattice._replace_ranks(tuple(r - base for r in lattice.ranks))
+    return RankedLattice(lattice.ground, ((m, r - base) for m, r in lattice.items()))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ scans on the ``Fraction`` values instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -115,6 +115,7 @@ class GroundSet:
     """
 
     names: tuple[str, ...]
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -122,13 +123,14 @@ class GroundSet:
             raise ValueError(
                 f"ground set has {len(self.names)} elements, limit is {MAX_GROUND_SIZE}"
             )
-        seen = set()
-        for name in self.names:
+        position = {}
+        for i, name in enumerate(self.names):
             if not isinstance(name, str) or not name:
                 raise ValueError(f"bad element label {name!r}: labels are non-empty strings")
-            if name in seen:
+            if name in position:
                 raise ValueError(f"duplicate element label {name!r}")
-            seen.add(name)
+            position[name] = i
+        object.__setattr__(self, "_position", position)
 
     @property
     def n(self) -> int:
@@ -145,8 +147,8 @@ class GroundSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.names.index(label)
-        except ValueError:
+            return self._position[label]
+        except (KeyError, TypeError):  # TypeError: the label is unhashable
             raise ValueError(f"unknown element {label!r}") from None
 
     def singleton(self, label: str) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import RankedLattice, validate_lattice
+from .lattice import RankedLattice
 from .model import Measure, SetFunction, _common_denominator, bits, induced_measure
 
 
@@ -213,13 +213,13 @@ def max_cyclic_flat(f: SetFunction, flat: int) -> int:
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     """The ranked lattice of cyclic flats together with the induced measure.
 
-    Assumes ``f`` passes the polymatroid check; for such input the family is
-    always a lattice, so a validation failure here signals a bug rather than
-    bad data.
+    ``f`` must be a polymatroid.  The paper's theorem makes its cyclic flats
+    a lattice, so the family is not checked again; on any other input the
+    result is unspecified.  The CLI checks its input with
+    ``check_polymatroid`` first.
     """
     family = [(m, f.values[m]) for m in f.ground.subsets() if is_cyclic_flat(f, m)]
-    lattice = validate_lattice(f.ground, family)
-    return lattice, induced_measure(f)
+    return RankedLattice(f.ground, family), induced_measure(f)
 
 
 def reconstruction_failure(f: SetFunction) -> int | None:

@@ -228,6 +228,19 @@ def pair_scan_reference(ground, elements):
     return meet, join
 
 
+def order_bitsets_reference(members) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(below, above): bit t of ``below[i]`` set when member t lies inside
+    member i, of ``above[i]`` when member t contains member i, each from a
+    scan over every member."""
+    below = tuple(
+        sum(1 << t for t, low in enumerate(members) if not low & ~high) for high in members
+    )
+    above = tuple(
+        sum(1 << t for t, high in enumerate(members) if not low & ~high) for low in members
+    )
+    return below, above
+
+
 def dot_reference(lattice) -> str:
     """Hasse diagram in DOT, the covering pairs found by looking for a
     member strictly between every nested pair."""

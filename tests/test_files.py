@@ -194,6 +194,8 @@ def test_lattice_doc_validates_the_family():
         lattice_from_doc({"ground": ["x"], "elements": [{"set": "x", "rank": "0"}]})
     with pytest.raises(FileFormatError, match="element 'x' repeats in member"):
         lattice_from_doc({"ground": ["x"], "elements": [{"set": ["x", "x"], "rank": "0"}]})
+    with pytest.raises(FileFormatError, match=r"unknown element \['x'\] in member"):
+        lattice_from_doc({"ground": ["x"], "elements": [{"set": [["x"]], "rank": "0"}]})
 
 
 def test_measure_doc_round_trip():

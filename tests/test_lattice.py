@@ -18,9 +18,11 @@ from polyflats import (
     cyclic_flats,
     graphic_matroid,
     helgason_lattice,
+    infiltrate_via_lattices,
     normalize_pointed,
     validate_lattice,
 )
+from polyflats import constructions
 from polyflats.files import lattice_dot
 
 import _oracles
@@ -415,6 +417,56 @@ def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
     for lat in lattices:
         assert _order_matches_pair_scan(lat.ground, list(lat.items())) is None
     assert len(lattices) > 600
+
+
+def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
+    # cyclic_flats, helgason_lattice, infiltrate_via_lattices and
+    # normalize_pointed build their lattices without the meet/join pass.
+    # validate_lattice must accept each family and give back the same
+    # lattice, and the order bitsets must be the containment relation
+    built = collections.Counter()
+    real_convolve_lattices = constructions.convolve_lattices
+
+    def capture(first, second):
+        check(first, "infiltration")
+        check(second, "infiltration")
+        return real_convolve_lattices(first, second)
+
+    def check(lat, kind):
+        again = validate_lattice(lat.ground, lat.items())
+        assert (again.members, again.ranks) == (lat.members, lat.ranks)
+        assert (again._below, again._above) == (lat._below, lat._above)
+        assert (lat._below, lat._above) == _oracles.order_bitsets_reference(lat.members)
+        built[kind] += 1
+
+    for _, lat, _ in corpus.harvested():
+        check(lat, "cyclic flats")
+        check(normalize_pointed(corpus.shift_up(lat, Fraction(3, 2))), "pointed")
+    for n in range(1, 11):
+        for seed in range(4):
+            check(cyclic_flats(corpus.rational_sum_table(seed, n))[0], "cyclic flats")
+    for f in corpus.integer_corpus():
+        check(helgason_lattice(f)[0], "block")
+    monkeypatch.setattr(constructions, "convolve_lattices", capture)
+    for spec in corpus.infiltration_specs():
+        infiltrate_via_lattices(spec)
+    assert built["cyclic flats"] == len(corpus.harvested()) + 40
+    assert built["pointed"] == len(corpus.harvested())
+    assert built["block"] == len(corpus.integer_corpus())
+    assert built["infiltration"] == 2 * len(corpus.infiltration_specs())
+    print(f"library-built lattices accepted by validate_lattice: {dict(built)}")
+
+
+def test_normalize_pointed_keeps_a_rank_below_the_bottom():
+    # the shift checks no ranks: a member ranked below the bottom comes out
+    # negative, C2 reports it, and nothing raises
+    g = ground("xy")
+    lat = validate_lattice(g, [(0, 2), (0b01, 1), (0b11, 3)])
+    shifted = normalize_pointed(lat)
+    assert shifted.ranks == (0, -1, 1)
+    rep = check_conditions(shifted, Measure(g, [1, 1]))
+    assert rep.c1.passed and not rep.c2.passed
+    assert rep.c2.witness.subsets == (0, 0b01)
 
 
 def test_boolean_lattice_on_ten_elements():

@@ -70,7 +70,7 @@ def test_ground_set_basics():
     g = GroundSet(("x", "y", "z"))
     assert g.n == 3
     assert g.full == 0b111
-    assert g.index("y") == 1
+    assert [g.index(name) for name in ("x", "y", "z")] == [0, 1, 2]
     assert g.singleton("z") == 0b100
     assert g.subset(["z", "x"]) == 0b101
     assert g.labels(0b101) == ("x", "z")
@@ -92,6 +92,9 @@ def test_ground_set_unknown_label_and_mask():
     g = GroundSet(("x", "y"))
     with pytest.raises(ValueError, match="w"):
         g.index("w")
+    # an unhashable label is unknown too, not a TypeError
+    with pytest.raises(ValueError, match=r"\['x'\]"):
+        g.index(["x"])
     with pytest.raises(ValueError):
         g.check_mask(4)
 
