@@ -49,18 +49,10 @@ def parse_subset_key(ground: GroundSet, key) -> int:
         raise FileFormatError(f"bad subset key {key!r}")
     if key == "":
         return 0
-    mask = 0
-    for label in key.split(","):
-        try:
-            bit = ground.singleton(label)
-        except ValueError:
-            raise FileFormatError(
-                f"bad subset key {key!r}: unknown element {label!r}"
-            ) from None
-        if mask & bit:
-            raise FileFormatError(f"bad subset key {key!r}: element {label!r} repeats")
-        mask |= bit
-    return mask
+    try:
+        return ground.subset(key.split(","))
+    except ValueError as exc:
+        raise FileFormatError(f"bad subset key {key!r}: {exc}") from None
 
 
 def _ground_from_doc(doc) -> GroundSet:
@@ -139,15 +131,10 @@ def lattice_from_doc(doc) -> RankedLattice:
         labels = entry["set"]
         if not isinstance(labels, list):
             raise FileFormatError(f"bad member set {labels!r}")
-        mask = 0
-        for label in labels:
-            try:
-                bit = ground.singleton(label)
-            except ValueError:
-                raise FileFormatError(f"unknown element {label!r} in member") from None
-            if mask & bit:
-                raise FileFormatError(f"element {label!r} repeats in member")
-            mask |= bit
+        try:
+            mask = ground.subset(labels)
+        except ValueError as exc:
+            raise FileFormatError(f"{exc} in member") from None
         family.append((mask, parse_rational(entry["rank"])))
     return validate_lattice(ground, family)
 

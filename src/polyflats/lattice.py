@@ -16,15 +16,21 @@ smaller than the set intersection.
 * C5a  rank(Z) > 0 for every member other than the bottom
 * C5b  mu(a) > 0 for every ground element outside the bottom
 
-The measure is read as point masses, never as a table of all subsets: C2
-and C* take mu(Z2 - Z1) as mu(Z2) - mu(Z1), and C3 visits only the
-incomparable pairs, since a comparable pair holds it with equality.
+Each condition is a list of required inequalities in scan order, and one
+loop reports the first that fails, so each inequality is written once.  The
+loop compares ranks and point masses as ints over their common denominator
+(see ``model``) and turns only a witness back into ``Fraction``.  The
+measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
+mu(Z2) - mu(Z1), and C3 visits only the incomparable pairs, since a
+comparable pair holds it with equality.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 from typing import Iterable, Iterator
 
 from .model import (
@@ -32,6 +38,7 @@ from .model import (
     GroundSetMismatch,
     Measure,
     Rational,
+    _common_denominator,
     bits,
     format_rational,
     to_fraction,
@@ -214,7 +221,10 @@ def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
     base = lattice.ranks[0]
     if base == 0:
         return lattice
-    return RankedLattice(lattice.ground, ((m, r - base) for m, r in lattice.items()))
+    # The shift keeps the members and so the order: copy it, new ranks only.
+    shifted = copy.copy(lattice)
+    shifted.ranks = tuple(r - base for r in lattice.ranks)
+    return shifted
 
 
 @dataclass(frozen=True)
@@ -292,112 +302,83 @@ class ConditionReport:
         return out
 
 
-def _check_c1(lattice: RankedLattice) -> Verdict:
-    rank0 = lattice.ranks[0]
-    if rank0 == 0:
-        return Verdict(True)
-    return Verdict(
-        False,
-        Witness("C1", (lattice.bottom,), rank0, "==", Fraction(0)),
-    )
+_HOLDS = {"==": eq, ">=": ge, "<=": le, ">": gt, "<": lt}
 
 
-def _check_nested(lattice: RankedLattice, weights) -> tuple[Verdict, Verdict]:
-    """C2 and C* in one scan over the nested pairs Zi inside Zj.
+def _first_failure(condition: str, required, value) -> Verdict:
+    """The first of the ``required`` inequalities that does not hold.
 
-    The pairs come from ``_above[i]`` without Zi itself, so j > i ascends
-    as in a scan over every pair; each condition keeps its own first
-    failing pair.  A C2 failure is also a C* failure, so the scan ends at
-    the first C2 witness.  ``weights`` holds the member measures.
+    ``required`` yields ``(subsets, lhs, relation, rhs, element)`` in scan
+    order, with both sides on the kernel's scale; ``value`` turns a side
+    back into the ``Fraction`` the witness reports.
     """
-    members, ranks = lattice.members, lattice.ranks
-    cstar = None
+    for subsets, lhs, relation, rhs, element in required:
+        if not _HOLDS[relation](lhs, rhs):
+            return Verdict(
+                False, Witness(condition, subsets, value(lhs), relation, value(rhs), element)
+            )
+    return Verdict(True)
+
+
+def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
+    """``diff lower 0`` then ``diff upper mu(Zj - Zi)`` for each nested pair.
+
+    The pairs Zi inside Zj come from ``_above[i]`` without Zi itself, so j
+    ascends as in a scan over every pair.  ``weights`` holds the member
+    measures, whose differences are the measures of the differences.
+    """
+    members = lattice.members
     for i, z1 in enumerate(members):
         for j in bits(lattice._above[i] & ~(1 << i)):
-            z2 = members[j]
-            diff = ranks[j] - ranks[i]
-            gap = weights[j] - weights[i]
-            if cstar is None:
-                if diff <= 0:
-                    cstar = Witness("C*", (z1, z2), diff, ">", Fraction(0))
-                elif diff >= gap:
-                    cstar = Witness("C*", (z1, z2), diff, "<", gap)
-            if diff < 0:
-                c2 = Witness("C2", (z1, z2), diff, ">=", Fraction(0))
-            elif diff > gap:
-                c2 = Witness("C2", (z1, z2), diff, "<=", gap)
-            else:
-                continue
-            return Verdict(False, c2), Verdict(False, cstar)
-    return Verdict(True), Verdict(cstar is None, cstar)
+            pair, diff = (z1, members[j]), ranks[j] - ranks[i]
+            yield pair, diff, lower, 0, None
+            yield pair, diff, upper, weights[j] - weights[i], None
 
 
-def _check_c3(lattice: RankedLattice, mu: Measure) -> Verdict:
-    """C3 over the incomparable pairs j > i, in index order."""
-    members, ranks = lattice.members, lattice.ranks
+def _incomparable(lattice: RankedLattice, ranks, masses):
+    """The C3 inequality for each incomparable pair j > i, in index order."""
+    members = lattice.members
     k = len(members)
     for i, z1 in enumerate(members):
-        later = (1 << k) - (2 << i)
-        for j in bits(later & ~lattice._above[i]):
+        for j in bits(((1 << k) - (2 << i)) & ~lattice._above[i]):
             z2 = members[j]
             meet, join = lattice._meet(i, j), lattice._join(i, j)
-            left = ranks[i] + ranks[j]
-            right = ranks[join] + ranks[meet] + mu(z1 & z2 & ~members[meet])
-            if left < right:
-                return Verdict(False, Witness("C3", (z1, z2), left, ">=", right))
-    return Verdict(True)
-
-
-def _check_c4(lattice: RankedLattice, mu: Measure) -> Verdict:
-    for i, member in enumerate(lattice.members):
-        for a in bits(member):
-            if mu.singleton[a] > lattice.ranks[i]:
-                return Verdict(
-                    False,
-                    Witness(
-                        "C4", (member,), mu.singleton[a], "<=", lattice.ranks[i],
-                        element=a,
-                    ),
-                )
-    return Verdict(True)
-
-
-def _check_c5a(lattice: RankedLattice) -> Verdict:
-    for i in range(1, len(lattice.members)):
-        if lattice.ranks[i] <= 0:
-            return Verdict(
-                False,
-                Witness("C5a", (lattice.members[i],), lattice.ranks[i], ">", Fraction(0)),
+            correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
+            yield (
+                (z1, z2), ranks[i] + ranks[j], ">=", ranks[join] + ranks[meet] + correction, None
             )
-    return Verdict(True)
-
-
-def _check_c5b(lattice: RankedLattice, mu: Measure) -> Verdict:
-    bottom = lattice.bottom
-    for a in range(lattice.ground.n):
-        if bottom >> a & 1:
-            continue
-        if mu.singleton[a] <= 0:
-            return Verdict(
-                False,
-                Witness("C5b", (), mu.singleton[a], ">", Fraction(0), element=a),
-            )
-    return Verdict(True)
 
 
 def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     """Evaluate all seven conditions; each failure carries the first witness
     in scan order (members ordered by cardinality then bit pattern, C3 over
-    incomparable pairs only)."""
+    incomparable pairs only).
+
+    Ranks and point masses are read as ints over their common denominator
+    d, or as the ``Fraction`` values when d would be too long (see
+    ``model``); each condition is one loop over its inequalities, and only
+    a witness turns back into ``Fraction``.
+    """
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
-    c2, cstar = _check_nested(lattice, [mu(z) for z in lattice.members])
+    members, k = lattice.members, len(lattice.members)
+    d, scaled = _common_denominator(lattice.ranks + mu.singleton)
+    ranks, masses = scaled[:k], scaled[k:]
+    value = Fraction if d is None else lambda x: Fraction(x, d)
+    weights = [sum(masses[a] for a in bits(z)) for z in members]
+    outside = lattice.ground.full & ~members[0]
     return ConditionReport(
-        c1=_check_c1(lattice),
-        c2=c2,
-        cstar=cstar,
-        c3=_check_c3(lattice, mu),
-        c4=_check_c4(lattice, mu),
-        c5a=_check_c5a(lattice),
-        c5b=_check_c5b(lattice, mu),
+        c1=_first_failure("C1", [((members[0],), ranks[0], "==", 0, None)], value),
+        c2=_first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value),
+        cstar=_first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value),
+        c3=_first_failure("C3", _incomparable(lattice, ranks, masses), value),
+        c4=_first_failure(
+            "C4",
+            (((z,), masses[a], "<=", r, a) for z, r in zip(members, ranks) for a in bits(z)),
+            value,
+        ),
+        c5a=_first_failure(
+            "C5a", (((z,), r, ">", 0, None) for z, r in zip(members[1:], ranks[1:])), value
+        ),
+        c5b=_first_failure("C5b", (((), masses[a], ">", 0, a) for a in bits(outside)), value),
     )

@@ -8,8 +8,9 @@ its elements' masses, computed when asked for.  Every public value is a
 checkers would be unsound under floating point, so floats are refused
 everywhere.
 
-The 2^n kernels (the axiom scan and both convolutions) only compare and add
-values, and they do so on Python ints where they can.  ``_common_denominator``
+The 2^n kernels (the axiom scan and both convolutions) and the lattice
+condition check only compare and add values, and they do so on Python ints
+where they can.  ``_common_denominator``
 writes a table as ints over one denominator d, the lcm of its denominators.
 Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change; the
@@ -155,9 +156,13 @@ class GroundSet:
         return 1 << self.index(label)
 
     def subset(self, labels: Iterable[str]) -> int:
+        """Mask of the listed labels; an unknown or repeated label is refused."""
         mask = 0
         for label in labels:
-            mask |= 1 << self.index(label)
+            bit = 1 << self.index(label)
+            if mask & bit:
+                raise ValueError(f"element {label!r} repeats")
+            mask |= bit
         return mask
 
     def labels(self, mask: int) -> tuple[str, ...]:

@@ -184,6 +184,36 @@ def distinct_primes(count: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def large_primes(count: int, digits: int = 40) -> tuple[int, ...]:
+    """The first ``count`` probable primes past 10**(digits - 1): each passes
+    Miller-Rabin to the twelve prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+    def probable_prime(q):
+        odd, twos = q - 1, 0
+        while odd % 2 == 0:
+            odd, twos = odd // 2, twos + 1
+        for b in bases:
+            x = pow(b, odd, q)
+            if x in (1, q - 1):
+                continue
+            for _ in range(twos - 1):
+                x = x * x % q
+                if x == q - 1:
+                    break
+            else:
+                return False
+        return True
+
+    out, candidate = [], 10 ** (digits - 1) + 1
+    while len(out) < count:
+        if probable_prime(candidate):
+            out.append(candidate)
+        candidate += 2
+    return tuple(out)
+
+
 def coprime_denominator_table(n: int) -> SetFunction:
     """A polymatroid whose 2^n values carry 2^n distinct prime denominators.
 

@@ -14,6 +14,7 @@ from polyflats import (
     LatticeError,
     Measure,
     NotALattice,
+    RankedLattice,
     check_conditions,
     cyclic_flats,
     graphic_matroid,
@@ -24,6 +25,7 @@ from polyflats import (
 )
 from polyflats import constructions
 from polyflats.files import lattice_dot
+from polyflats.model import _common_denominator
 
 import _oracles
 import corpus
@@ -166,6 +168,9 @@ def test_conditions_nonzero_bottom_failure():
     # everything else is fine for this pair
     assert rep.c2.passed and rep.cstar.passed and rep.c3.passed
     assert rep.c4.passed and rep.c5a.passed and rep.c5b.passed
+    # C1 asks for equality: the unchecked constructor admits a bottom below zero
+    below = RankedLattice(g, [(0, Fraction(-1)), (0b11, Fraction(4))])
+    assert check_conditions(below, mu).lines(g)[0] == "C1   FAIL at {}: needs -1 == 0"
 
 
 def test_conditions_measure_above_rank_failure():
@@ -339,6 +344,10 @@ def test_nested_scan_matches_per_condition_reference():
         nonlocal cases, split
         rep = check_conditions(lat2, mu2)
         assert rep == _oracles.check_conditions_reference(lat2, mu2)
+        # equality alone cannot tell the int 0 from Fraction(0)
+        for _, verdict in rep.named():
+            if not verdict:
+                assert type(verdict.witness.lhs) is type(verdict.witness.rhs) is Fraction
         cases += 1
         failed.update(name for name, verdict in rep.named() if not verdict)
         split += not rep.c2.passed and rep.c2.witness.subsets != rep.cstar.witness.subsets
@@ -361,7 +370,36 @@ def test_nested_scan_matches_per_condition_reference():
     assert failed["C3"] > 50
     # some pairs fail C* at an earlier pair than C2
     assert split > 0
-    print(f"condition scan parity: {cases} pairs, failures {dict(failed)}, split witnesses {split}")
+
+    # A distinct 40-digit prime denominator per rank and per mass, each
+    # value within 1/p of a small one, so that p alone decides near-ties.
+    # Up to five values the common denominator keeps the int form; past
+    # that it outgrows the bound and the scans run on the Fractions.
+    primes = corpus.large_primes(48)
+    paths = collections.Counter()
+
+    def near(values):
+        ps = iter(rng.sample(primes, len(values)))
+        return [v + Fraction(rng.choice((1, -1)) if v else 1, next(ps)) for v in values]
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        g = ground("abcd"[:n])
+        lat = corpus.random_family_lattice(rng, g, rng.randrange(1, 1 << n))
+        masses = near([Fraction(rng.randrange(3)) for _ in range(n)])
+        lat = corpus.with_ranks(lat, near([Fraction(round(r)) for r in lat.ranks]))
+        mu = Measure(g, masses)
+        paths[_common_denominator(lat.ranks + mu.singleton)[0] is None] += 1
+        compare(lat, mu)
+    for f, lat, mu in corpus.harvested()[:60]:
+        lat, mu = corpus.with_ranks(lat, near(lat.ranks)), Measure(f.ground, near(mu.singleton))
+        paths[_common_denominator(lat.ranks + mu.singleton)[0] is None] += 1
+        compare(lat, mu)
+    assert paths[False] > 50 and paths[True] > 50
+    print(
+        f"condition scan parity: {cases} pairs, failures {dict(failed)}, "
+        f"split witnesses {split}, past the int bound {paths[True]} of {sum(paths.values())}"
+    )
 
 
 def _order_matches_pair_scan(g, elements) -> str | None:
@@ -464,6 +502,7 @@ def test_normalize_pointed_keeps_a_rank_below_the_bottom():
     lat = validate_lattice(g, [(0, 2), (0b01, 1), (0b11, 3)])
     shifted = normalize_pointed(lat)
     assert shifted.ranks == (0, -1, 1)
+    assert (shifted._below, shifted._above) == (lat._below, lat._above)
     rep = check_conditions(shifted, Measure(g, [1, 1]))
     assert rep.c1.passed and not rep.c2.passed
     assert rep.c2.witness.subsets == (0, 0b01)

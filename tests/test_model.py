@@ -97,6 +97,8 @@ def test_ground_set_unknown_label_and_mask():
         g.index(["x"])
     with pytest.raises(ValueError):
         g.check_mask(4)
+    with pytest.raises(ValueError, match="^element 'x' repeats$"):
+        g.subset(["x", "y", "x"])
 
 
 def test_empty_ground_set():
