@@ -8,10 +8,10 @@ its elements' masses, computed when asked for.  Every public value is a
 checkers would be unsound under floating point, so floats are refused
 everywhere.
 
-The 2^n kernels (the axiom scan and both convolutions) and the lattice
-condition check only compare and add values, and they do so on Python ints
-where they can.  ``_common_denominator``
-writes a table as ints over one denominator d, the lcm of its denominators.
+The 2^n kernels (the axiom scan, cyclic-flat extraction and both
+convolutions) and the lattice condition check only compare and add values,
+and they do so on Python ints where they can.  ``_common_denominator`` writes
+a table as ints over one denominator d, the lcm of its denominators.
 Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change; the
 kernels turn back to ``Fraction`` only for the values they return.

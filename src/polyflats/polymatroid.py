@@ -4,9 +4,10 @@ A polymatroid here is a set function that is non-negative, monotone and
 submodular.  A matroid is an integer polymatroid whose singleton ranks are
 all 0 or 1.  Cyclic flats are the flats in which every element is either a
 loop or has conditional rank strictly below its singleton rank; for a
-polymatroid they always form a lattice under inclusion.  ``closure``,
-``max_cyclic_flat`` and ``cyclic_flats`` assume a polymatroid, which lets
-the first two work in one pass over the elements.
+polymatroid they always form a lattice under inclusion.  Flats are the
+fixed points of the map ``_closure``, cyclic flats those of ``_cyclic_part``
+too; both run on ints or ``Fraction``s, and ``cyclic_flats`` runs them on
+the table scaled to ints over its common denominator.
 """
 
 from __future__ import annotations
@@ -140,6 +141,27 @@ def coloops(f: SetFunction) -> int:
     return out
 
 
+def _closure(v: list, n: int, subset: int) -> int:
+    """``subset`` plus every element whose addition leaves ``v`` unchanged."""
+    base = v[subset]
+    out = subset
+    for i in range(n):
+        if v[subset | 1 << i] == base:
+            out |= 1 << i
+    return out
+
+
+def _cyclic_part(v: list, flat: int) -> int:
+    """``flat`` without every non-loop i with v(F) - v(F - i) >= v(i)."""
+    top = v[flat]
+    out = flat
+    for i in bits(flat):
+        single = v[1 << i]
+        if single != 0 and top - v[flat ^ 1 << i] >= single:
+            out ^= 1 << i
+    return out
+
+
 def closure(f: SetFunction, subset: int) -> int:
     """Smallest flat containing ``subset``, for a polymatroid ``f``.
 
@@ -148,25 +170,12 @@ def closure(f: SetFunction, subset: int) -> int:
     conditional rank zero over the result (monotonicity).
     """
     f.ground.check_mask(subset)
-    base = f.values[subset]
-    out = subset
-    for i in range(f.ground.n):
-        bit = 1 << i
-        if not subset & bit and f.values[subset | bit] == base:
-            out |= bit
-    return out
+    return _closure(f.values, f.ground.n, subset)
 
 
 def is_flat(f: SetFunction, subset: int) -> bool:
     """True when every element outside strictly raises the rank."""
-    f.ground.check_mask(subset)
-    for i in range(f.ground.n):
-        bit = 1 << i
-        if subset & bit:
-            continue
-        if f.values[subset | bit] == f.values[subset]:
-            return False
-    return True
+    return closure(f, subset) == subset
 
 
 def flats(f: SetFunction) -> list[int]:
@@ -179,46 +188,36 @@ def flats(f: SetFunction) -> list[int]:
 def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
     """A flat is cyclic when each member is a loop or sits strictly below
     its singleton rank given the rest."""
-    if not is_flat(f, subset):
-        return False
-    for i in bits(subset):
-        bit = 1 << i
-        single = f.values[bit]
-        if single == 0:
-            continue
-        if f.values[subset] - f.values[subset ^ bit] >= single:
-            return False
-    return True
+    return is_flat(f, subset) and _cyclic_part(f.values, subset) == subset
 
 
 def max_cyclic_flat(f: SetFunction, flat: int) -> int:
     """Largest cyclic flat inside ``flat``, for a polymatroid ``f``.
 
-    One pass drops every non-loop i with f(F) - f(F-i) = f(i).  Dropping
+    One pass drops every non-loop i with f(F) - f(F-i) >= f(i), which on a
+    polymatroid means = f(i); elsewhere the answer is unspecified.  Dropping
     such an i changes no other element's conditional rank: f(F-j) - f(F-i-j)
     lies between f(F) - f(F-i) = f(i) (submodularity) and f(i), so
     f(F) - f(F-j) = f(F-i) - f(F-i-j).
     """
     if not is_flat(f, flat):
         raise NotAFlat(f"{f.ground.describe(flat)} is not a flat")
-    top = f.values[flat]
-    out = flat
-    for i in bits(flat):
-        single = f.values[1 << i]
-        if single > 0 and top - f.values[flat ^ (1 << i)] == single:
-            out ^= 1 << i
-    return out
+    return _cyclic_part(f.values, flat)
 
 
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     """The ranked lattice of cyclic flats together with the induced measure.
 
-    ``f`` must be a polymatroid.  The paper's theorem makes its cyclic flats
-    a lattice, so the family is not checked again; on any other input the
-    result is unspecified.  The CLI checks its input with
-    ``check_polymatroid`` first.
+    Both maps run on the common-denominator ints (on the ``Fraction`` values
+    past the bound); member ranks are the ``Fraction`` values.  ``f`` must be
+    a polymatroid.  The paper's theorem makes its cyclic flats a lattice, so
+    the family is not checked again; on any other input the result is
+    unspecified.  The CLI checks its input with ``check_polymatroid`` first.
     """
-    family = [(m, f.values[m]) for m in f.ground.subsets() if is_cyclic_flat(f, m)]
+    _, v = _common_denominator(f.values)
+    n = f.ground.n
+    fixed = (m for m in f.ground.subsets() if _closure(v, n, m) == m == _cyclic_part(v, m))
+    family = [(m, f.values[m]) for m in fixed]
     return RankedLattice(f.ground, family), induced_measure(f)
 
 

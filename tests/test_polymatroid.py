@@ -244,6 +244,40 @@ def test_closure_matches_flat_scan_and_is_idempotent(all_functions):
             assert f.values[c] == f.values[m]
 
 
+def _by_size(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def _unstructured_tables(rng, count):
+    """Tables on up to five elements drawn from a few values, so that equal
+    neighbours, zero singletons and negative values all occur."""
+    pool = [Fraction(v) for v in (-1, 0, 0, 1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        out.append(SetFunction(GroundSet(tuple("abcde"[:n])), [rng.choice(pool) for _ in range(1 << n)]))
+    return out
+
+
+def test_flat_predicates_match_element_scans(all_functions):
+    # the two maps behind closure, is_flat and is_cyclic_flat against the
+    # per-element loops, on polymatroids and on tables that are not
+    extra = _unstructured_tables(random.Random(31), 550)
+    assert sum(not check_polymatroid(f).is_polymatroid for f in extra) > 500
+    seen = Counter()
+    for f in list(all_functions) + extra:
+        for m in f.ground.subsets():
+            same = [i for i in range(f.ground.n) if f.values[m | 1 << i] == f.values[m]]
+            assert closure(f, m) == m | sum(1 << i for i in same)
+            flat = _oracles.flat_by_scan(f, m)
+            cyclic = _oracles.cyclic_flat_by_scan(f, m)
+            assert is_flat(f, m) == flat
+            assert is_cyclic_flat(f, m) == cyclic
+            seen[flat, cyclic] += 1
+        assert flats(f) == _by_size(m for m in f.ground.subsets() if _oracles.flat_by_scan(f, m))
+    assert seen[True, True] and seen[True, False] and seen[False, False]
+
+
 def test_flats_examples():
     u = uniform_matroid(2, 3)
     assert flats(u) == [0, 0b001, 0b010, 0b100, 0b111]
@@ -285,6 +319,29 @@ def test_cyclic_flats_match_circuit_union_oracle():
     for f in corpus.matroid_corpus():
         lattice, _ = cyclic_flats(f)
         assert list(lattice.members) == _oracles.cyclic_flats_by_circuits(f)
+
+
+def test_cyclic_flats_match_element_scan_on_both_kernel_paths(all_functions):
+    # distinct prime denominators: up to n = 6 the scan runs on ints, from
+    # n = 7 on the Fractions
+    coprime = [corpus.coprime_denominator_table(n) for n in range(2, 9)]
+    assert [_common_denominator(f.values)[0] is None for f in coprime] == [False] * 5 + [True] * 2
+    for f in list(all_functions) + coprime:
+        lattice, _ = cyclic_flats(f)
+        expected = [m for m in f.ground.subsets() if _oracles.cyclic_flat_by_scan(f, m)]
+        assert list(lattice.members) == _by_size(expected)
+        for m, rank in lattice.items():
+            assert type(rank) is Fraction and rank == f.values[m]
+
+
+def test_cyclic_flats_at_fourteen_elements():
+    f = corpus.rational_sum_table(14, 14)
+    assert check_polymatroid(f).is_polymatroid
+    lattice, _ = cyclic_flats(f)
+    assert len(lattice) == 431
+    expected = [m for m in f.ground.subsets() if _oracles.cyclic_flat_by_scan(f, m)]
+    assert list(lattice.members) == _by_size(expected)
+    assert reconstruction_failure(f) is None
 
 
 def test_cyclic_flat_lattice_operations(all_functions):
