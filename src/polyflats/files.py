@@ -10,6 +10,16 @@ A subset key is the sorted member labels joined by commas; the empty string
 is the empty set.  Rationals are ``p`` or ``p/q`` in ASCII digits.  Writers
 emit subsets ordered by (cardinality, labels), so write -> read -> write is
 byte-identical.
+
+A rank table has 2^n entries, so its codec does no per-subset sorting or
+splitting.  ``_file_order`` lists every (key, mask) in file order straight
+from ``itertools.combinations`` over the labels in sorted order, which yields
+each cardinality's subsets in the order of their sorted label tuples.  The
+writer walks that order once.  The reader walks it alongside the file's keys,
+so a file in file order costs one string comparison per key; any other key
+(out of order, or not canonical like ``"b,a"``) is split and parsed as
+before, so every refusal reads the same.  Tables repeat few values, so the
+reader parses each distinct rational string once.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
@@ -75,14 +87,21 @@ def _ordered(ground: GroundSet, masks) -> list[tuple[tuple[str, ...], int]]:
     return sorted(((ground.sorted_labels(m), m) for m in masks), key=lambda p: (len(p[0]), p[0]))
 
 
+def _file_order(ground: GroundSet) -> Iterator[tuple[str, int]]:
+    """(subset key, mask) of every subset, in the file order of ``_ordered``."""
+    labels = sorted(ground.names)
+    singletons = [ground.singleton(label) for label in labels]
+    for size in range(ground.n + 1):
+        keys = map(",".join, combinations(labels, size))
+        yield from zip(keys, map(sum, combinations(singletons, size)))
+
+
 def polymatroid_to_doc(f: SetFunction) -> dict:
     for label in f.ground.names:
         if "," in label:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
-    rank = {
-        ",".join(labels): format_rational(f.values[m])
-        for labels, m in _ordered(f.ground, f.ground.subsets())
-    }
+    values = f.values
+    rank = {key: format_rational(values[m]) for key, m in _file_order(f.ground)}
     return {"ground": list(f.ground.names), "rank": rank}
 
 
@@ -91,16 +110,27 @@ def polymatroid_from_doc(doc) -> SetFunction:
     rank = doc.get("rank")
     if not isinstance(rank, dict):
         raise FileFormatError("polymatroid document needs a 'rank' map")
+    order = _file_order(ground)
+    parsed: dict[str, Fraction] = {}
     values: list[Fraction | None] = [None] * (1 << ground.n)
     for key, text in rank.items():
-        mask = parse_subset_key(ground, key)
+        expected, mask = next(order, (None, None))
+        if mask is None or key != expected:
+            # out of file order, not canonical, or past the last subset
+            mask = parse_subset_key(ground, key)
         if values[mask] is not None:
             raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
-        values[mask] = parse_rational(text)
-    missing = [m for m, v in enumerate(values) if v is None]
-    if missing:
-        labels, _ = _ordered(ground, missing)[0]
-        raise FileFormatError(f"missing subset {','.join(labels)!r}")
+        try:
+            value = parsed[text]
+        except KeyError:
+            value = parsed[text] = parse_rational(text)
+        except TypeError:  # unhashable, so not a string: parse_rational refuses it
+            value = parse_rational(text)
+        values[mask] = value
+    # no subset is filled twice, so fewer keys than subsets leaves a hole
+    if len(rank) < len(values):
+        key = next(key for key, m in _file_order(ground) if values[m] is None)
+        raise FileFormatError(f"missing subset {key!r}")
     return SetFunction(ground, values)
 
 
@@ -180,11 +210,13 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def _distinct_keys(pairs: list) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise FileFormatError(f"key {key!r} repeats in an object")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FileFormatError(f"key {key!r} repeats in an object")
+            seen.add(key)
     return doc
 
 

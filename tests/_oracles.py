@@ -22,6 +22,14 @@ from polyflats import (
     convolve,
     is_cyclic_flat,
 )
+from polyflats.files import (
+    FileFormatError,
+    _ground_from_doc,
+    _ordered,
+    format_rational,
+    parse_rational,
+    parse_subset_key,
+)
 
 
 def monotone_all_pairs(f: SetFunction):
@@ -291,6 +299,39 @@ def dot_reference(lattice) -> str:
                 lines.append(f"  n{node_id[low]} -> n{node_id[high]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def polymatroid_to_doc_reference(f: SetFunction) -> dict:
+    """Rank document with each key from the sorted labels of its mask and
+    all 2^n (labels, mask) pairs sorted into file order."""
+    for label in f.ground.names:
+        if "," in label:
+            raise FileFormatError(f"label {label!r} contains a comma; not serializable")
+    rank = {
+        ",".join(labels): format_rational(f.values[m])
+        for labels, m in _ordered(f.ground, f.ground.subsets())
+    }
+    return {"ground": list(f.ground.names), "rank": rank}
+
+
+def polymatroid_from_doc_reference(doc) -> SetFunction:
+    """Rank table with every key split and parsed, every value parsed, and
+    the first missing subset found by sorting all holes into file order."""
+    ground = _ground_from_doc(doc)
+    rank = doc.get("rank")
+    if not isinstance(rank, dict):
+        raise FileFormatError("polymatroid document needs a 'rank' map")
+    values: list = [None] * (1 << ground.n)
+    for key, text in rank.items():
+        mask = parse_subset_key(ground, key)
+        if values[mask] is not None:
+            raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
+        values[mask] = parse_rational(text)
+    missing = [m for m, v in enumerate(values) if v is None]
+    if missing:
+        labels, _ = _ordered(ground, missing)[0]
+        raise FileFormatError(f"missing subset {','.join(labels)!r}")
+    return SetFunction(ground, values)
 
 
 def nested_conditions_reference(lattice, mu) -> tuple:

@@ -1,5 +1,7 @@
 """JSON document shapes, canonical ordering, and DOT output."""
 
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -16,6 +18,9 @@ from polyflats import (
 )
 from polyflats.files import (
     FileFormatError,
+    _file_order,
+    _load,
+    _ordered,
     dumps_canonical,
     expansion_to_doc,
     format_rational,
@@ -35,6 +40,9 @@ from polyflats.files import (
     write_measure,
     write_polymatroid,
 )
+
+import _oracles
+import corpus
 
 
 def test_rational_formats():
@@ -125,6 +133,116 @@ def test_polymatroid_doc_errors():
         polymatroid_from_doc({"ground": ["a,b"], "rank": {}})
     with pytest.raises(FileFormatError, match="too many digits"):
         polymatroid_from_doc({"ground": ["x"], "rank": {"": "0", "x": "9" * 5000}})
+
+
+# Labels that sort awkwardly: "!" before ",", "10" before "9", "a" before
+# "a1", and non-ASCII, quote, backslash and space characters
+AWKWARD_LABELS = ("!", "10", "9", "a", "a1", "\u00e9", '"', "\\q", "x y", "b", "Z", "e2", "e10")
+
+
+def awkward_tables(count: int = 320):
+    """Seeded tables on n = 0..8 labels drawn from ``AWKWARD_LABELS``, with
+    values from a short list (so they repeat) and an occasional odd one."""
+    rng = random.Random(9)
+    common = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-7, 3)]
+    for i in range(count):
+        ground = GroundSet(tuple(rng.sample(AWKWARD_LABELS, i % 9)))
+        yield SetFunction(ground, [
+            rng.choice(common) if rng.random() < 0.9 else Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+            for _ in ground.subsets()
+        ])
+
+
+def test_writer_matches_the_reference_codec(all_functions):
+    for f in (*all_functions, *awkward_tables()):
+        doc = polymatroid_to_doc(f)
+        expected = _oracles.polymatroid_to_doc_reference(f)
+        assert doc == expected
+        assert list(doc["rank"]) == list(expected["rank"])
+        g = f.ground
+        assert [m for _, m in _file_order(g)] == [m for _, m in _ordered(g, g.subsets())]
+        assert polymatroid_from_doc(doc) == f
+
+
+def _outcome(read, doc):
+    try:
+        f = read(doc)
+    except Exception as exc:  # the refusal itself is what is compared
+        return type(exc), str(exc)
+    return f.ground.names, f.values
+
+
+def _mutations(doc, rng):
+    """Copies of a rank document, each broken or reordered in one way."""
+    ground, items = doc["ground"], list(doc["rank"].items())
+
+    def with_items(new_items):
+        return {"ground": ground, "rank": dict(new_items)}
+
+    picks = rng.sample(range(len(items)), min(3, len(items)))
+    for at in picks:
+        key, text = items[at]
+        yield with_items(items[:at] + items[at + 1:])
+        for value in ("1.5", "x", "1/0", 3, None, [1]):
+            yield with_items(items[:at] + [(key, value)] + items[at + 1:])
+        unknown = f"{key},zz" if key else "zz"
+        yield with_items(items[:at] + [(unknown, text)] + items[at + 1:])
+        labels = key.split(",")
+        if len(labels) > 1:
+            flipped = ",".join(reversed(labels))
+            yield with_items(items[:at] + [(flipped, text)] + items[at + 1:])
+            yield with_items(items + [(flipped, text)])
+        if key:
+            yield with_items(items[:at] + [(f"{key},{labels[0]}", text)] + items[at + 1:])
+    kept = sorted(rng.sample(range(len(items)), len(items) // 2))
+    yield with_items([items[at] for at in kept])
+    yield with_items(items[::-1])
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    yield with_items(shuffled)
+    yield with_items(items + [("", "0")])
+    yield with_items(items + [(None, "0")])
+
+
+def test_reader_matches_the_reference_codec_on_mutated_documents():
+    rng = random.Random(4)
+    compared = 0
+    for f in awkward_tables(120):
+        for doc in (polymatroid_to_doc(f), *_mutations(polymatroid_to_doc(f), rng)):
+            assert _outcome(polymatroid_from_doc, doc) == _outcome(
+                _oracles.polymatroid_from_doc_reference, doc
+            )
+            compared += 1
+    assert compared > 2000
+
+
+def test_rank_file_round_trip_at_n16(tmp_path):
+    f = corpus.rational_sum_table(16, 16)
+    first, second = tmp_path / "f1.json", tmp_path / "f2.json"
+    write_polymatroid(f, first)
+    back = read_polymatroid(first)
+    assert back == f
+    write_polymatroid(back, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 1, "b": 2, "b": 3, "a": 4}', "key 'b' repeats in an object"),
+        (
+            '{"ground": ["x"], "elements": [{"set": [], "rank": "0"},'
+            ' {"rank": "1", "set": ["x"], "set": ["x"], "rank": "2"}]}',
+            "key 'set' repeats in an object",
+        ),
+    ],
+    ids=["top_level", "lattice_member"],
+)
+def test_load_names_the_first_repeated_key(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+        _load(path)
 
 
 @pytest.mark.parametrize(
