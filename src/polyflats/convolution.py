@@ -13,6 +13,8 @@ ranks of what covers (a member, or the union of a pair), then take its
 superset-min transform ``h(A) = min{h(Z) : Z contains A}``, n passes over
 the subset cube as in the zeta transforms of Bjorklund, Husfeldt, Kaski and
 Koivisto ("Fourier meets Moebius: fast subset convolution", STOC 2007).
+Pass i lowers each h(A) without i to h(A + i) where that is less; the
+slices of ``model._halves`` line the pairs up so one ``map`` does a pass.
 For two lattices h is the answer.  For one lattice the measure pays for
 the part of A a member leaves out, by the recurrence
 
@@ -21,10 +23,13 @@ the part of A a member leaves out, by the recurrence
 which holds because mu >= 0: an optimal Z either contains A, giving h(A),
 or misses some i in A, and then rank(Z) + mu(A - Z) is rank(Z) +
 mu((A - i) - Z) + mu(i), at least r(A - i) + mu(i); conversely each
-right-hand term is the value of some Z at A or exceeds one.  Both
-transforms run on ints over the common denominator of the ranks and the
-measure, or on the ``Fraction`` values when that denominator would be too
-long (see ``model``), so the result is exact.
+right-hand term is the value of some Z at A or exceeds one.  Taken one
+element at a time, it is again n slice passes, each lowering r(A + i) to
+r(A) + mu(i) where that is less.  Both transforms run on ints over the
+common denominator of the ranks and the measure, or on the ``Fraction``
+values when that denominator would be too long (see ``model``), so the
+result is exact.  The ints go back to ``Fraction`` one distinct value at a
+time; the distinct values are usually far fewer than the 2^n entries.
 
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what
@@ -35,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 from .lattice import ConditionReport, RankedLattice, check_conditions
 from .model import (
@@ -43,6 +50,7 @@ from .model import (
     Measure,
     SetFunction,
     _common_denominator,
+    _halves,
     bits,
     format_rational,
 )
@@ -53,10 +61,18 @@ def _superset_min(h: list[int]) -> None:
     """In place: h[A] becomes the least h[B] over the supersets B of A."""
     size, step = len(h), 1
     while step < size:
-        for lo in range(0, size, 2 * step):
-            hi = lo + step
-            h[lo:hi] = map(min, h[lo:hi], h[hi:hi + step])
+        for lo, hi in _halves(size, step):
+            h[lo] = map(min, h[lo], h[hi])
         step *= 2
+
+
+def _read_back(h: list, d: int | None) -> list:
+    """The values ``h`` stands for over the denominator d, building one
+    ``Fraction`` per distinct value."""
+    if d is None:
+        return h
+    value = {x: Fraction(x, d) for x in set(h)}
+    return [value[x] for x in h]
 
 
 def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
@@ -74,15 +90,10 @@ def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
     _superset_min(h)
     # The recurrence one element at a time: after element i, h[A] is the
     # best cover of A that may leave out elements up to i at their measure.
-    size = len(h)
     for i, w in enumerate(weights):
-        step = 1 << i
-        for lo in range(step, size, 2 * step):
-            h[lo:lo + step] = [
-                y if y < x + w else x + w
-                for x, y in zip(h[lo - step:lo], h[lo:lo + step])
-            ]
-    return SetFunction(lattice.ground, h if d is None else [Fraction(x, d) for x in h])
+        for lo, hi in _halves(len(h), 1 << i):
+            h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
+    return SetFunction(lattice.ground, _read_back(h, d))
 
 
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
@@ -112,7 +123,7 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
             if r1 + r2 < h[u1 | u2]:
                 h[u1 | u2] = r1 + r2
     _superset_min(h)
-    return SetFunction(ground, h if d is None else [Fraction(x, d) for x in h])
+    return SetFunction(ground, _read_back(h, d))
 
 
 @dataclass(frozen=True)

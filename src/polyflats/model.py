@@ -16,6 +16,15 @@ Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change; the
 kernels turn back to ``Fraction`` only for the values they return.
 
+Each 2^n kernel pairs every subset A with A + i, one element i at a time.
+``_halves`` hands out those pairs as slices of the table, blocks for high
+bits and strides for low ones, so that one pass costs about sqrt(2^n)
+Python steps and ``map`` with ``operator`` functions does the rest in C:
+the layout of Yates's method and of the zeta transforms in Bjorklund,
+Husfeldt, Kaski and Koivisto ("Fourier meets Moebius: fast subset
+convolution", STOC 2007).  ``_gains`` uses the same pairs to table
+v(A + i) - v(A) over the half of the table without i.
+
 This pays only while the lcm of a table's denominators stays small, as it
 does when they are drawn from a few values.  Many pairwise coprime
 denominators make d about as long as all of them together, and every scaled
@@ -28,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Iterable, Iterator
 
 MAX_GROUND_SIZE = 20
@@ -105,6 +115,41 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def _halves(size: int, step: int) -> Iterator[tuple[slice, slice]]:
+    """Slice pairs ``(lo, hi)`` that line each mask A without the bit
+    ``step`` up with A + step, for a table of ``size`` entries (both powers
+    of two, ``step < size``).
+
+    Position by position, ``v[lo]`` runs over masks without the bit and
+    ``v[hi]`` over the same masks with it; ``lo`` ascends.  A large step
+    (step² >= size) pairs blocks of ``step`` consecutive masks, a small one
+    the stride slices ``off::2·step`` for each ``off < step``, so there are
+    at most about sqrt(size) pairs and ``map`` does the work per entry.
+    """
+    if step * step >= size:
+        for lo in range(0, size, 2 * step):
+            yield slice(lo, lo + step), slice(lo + step, lo + 2 * step)
+    else:
+        for off in range(step):
+            yield slice(off, size, 2 * step), slice(off + step, size, 2 * step)
+
+
+def _gains(v: list, step: int) -> list:
+    """v[A + step] - v[A] for every mask A without the bit ``step``, at A's
+    index with that bit cut out: the bits below it stay, those above move
+    down one place."""
+    g = [None] * (len(v) // 2)
+    for lo, hi in _halves(len(v), step):
+        # cutting the bit moves a block at 2·step·p to step·p and turns a
+        # stride of 2·step into one of step
+        if lo.step is None:
+            cut = slice(lo.start // 2, lo.start // 2 + step)
+        else:
+            cut = slice(lo.start, None, step)
+        g[cut] = map(sub, v[hi], v[lo])
+    return g
 
 
 @dataclass(frozen=True)

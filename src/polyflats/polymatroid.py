@@ -6,16 +6,31 @@ all 0 or 1.  Cyclic flats are the flats in which every element is either a
 loop or has conditional rank strictly below its singleton rank; for a
 polymatroid they always form a lattice under inclusion.  Flats are the
 fixed points of the map ``_closure``, cyclic flats those of ``_cyclic_part``
-too; both run on ints or ``Fraction``s, and ``cyclic_flats`` runs them on
-the table scaled to ints over its common denominator.
+too; the per-mask predicates apply these maps to one subset.
+
+The whole-table scans (``check_polymatroid``, ``flats`` and
+``cyclic_flats``) instead run slice passes over the table scaled to ints
+over its common denominator (the ``Fraction`` values past the bound): for
+each element i, ``model._halves`` lines every A without i up with A + i,
+and one ``map`` compares or marks all those pairs at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, gt, lt, ne, sub
 
 from .lattice import RankedLattice
-from .model import Measure, SetFunction, _common_denominator, bits, induced_measure
+from .model import (
+    Measure,
+    SetFunction,
+    _common_denominator,
+    _gains,
+    _halves,
+    bits,
+    induced_measure,
+)
 
 
 class NotAFlat(ValueError):
@@ -59,37 +74,22 @@ class PolymatroidReport:
 
 
 def _nonnegative_witness(v: list) -> AxiomWitness | None:
-    for mask, x in enumerate(v):
-        if x < 0:
-            return AxiomWitness("nonnegative", (mask,))
-    return None
+    if min(v) >= 0:
+        return None
+    return AxiomWitness("nonnegative", (next(m for m, x in enumerate(v) if x < 0),))
 
 
-def _monotone_witness(v: list, n: int) -> AxiomWitness | None:
-    # Single-element steps suffice: any violating pair A < B yields a
-    # violating step somewhere along a chain between them.
-    for mask, x in enumerate(v):
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and x > v[mask | bit]:
-                return AxiomWitness("monotone", (mask, mask | bit))
-    return None
+def _first_pair(holds, t: list, step: int) -> int | None:
+    """Least index A without the bit ``step`` with ``holds(t[A], t[A + step])``.
 
-
-def _submodular_witness(v: list, n: int) -> AxiomWitness | None:
-    # Local exchange form: f(A+i) + f(A+j) >= f(A+i+j) + f(A) for i, j not
-    # in A.  Equivalent to submodularity on arbitrary pairs.  Comparing the
-    # two gains of i keeps each Fraction difference to two denominators when
-    # the scan runs on Fractions.
-    for mask, x in enumerate(v):
-        free = [i for i in range(n) if not mask >> i & 1]
-        for a, i in enumerate(free):
-            with_i = mask | 1 << i
-            gain = v[with_i] - x
-            for j in free[a + 1:]:
-                if v[with_i | 1 << j] - v[mask | 1 << j] > gain:
-                    return AxiomWitness("submodular", (mask,), (i, j))
-    return None
+    The pass only asks whether any pair holds; the least index is looked for
+    only when one does.
+    """
+    pairs = list(_halves(len(t), step))
+    if not any(any(map(holds, t[lo], t[hi])) for lo, hi in pairs):
+        return None
+    masks = range(len(t))
+    return min(next(compress(masks[lo], map(holds, t[lo], t[hi])), len(t)) for lo, hi in pairs)
 
 
 def check_polymatroid(f: SetFunction) -> PolymatroidReport:
@@ -99,12 +99,36 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
     non-negativity, then monotonicity, then submodularity, each in subset
     order.  The scans read the table as ints over its common denominator,
     or as the ``Fraction`` values when that denominator would be too long.
+
+    Each axiom is a set of slice passes, one per element or element pair.
+    Monotonicity needs only single-element steps, since a violating pair
+    A < B yields a violating step on a chain between them: pass i looks for
+    v(A) > v(A + i).  Submodularity needs only the local exchanges
+    v(A+i) + v(A+j) >= v(A+i+j) + v(A) for i < j outside A: pass (i, j)
+    looks for a rise of the gain of i from A to A + j.  The first violation
+    in the scan order (A, i) or (A, i, j) is the least of the passes' least
+    violating masks paired with their elements.
     """
     d, v = _common_denominator(f.values)
     n = f.ground.n
     w_nonneg = _nonnegative_witness(v)
-    w_mono = _monotone_witness(v, n)
-    w_sub = _submodular_witness(v, n)
+    w_mono = w_sub = None
+    falls = [(a, i) for i in range(n) if (a := _first_pair(gt, v, 1 << i)) is not None]
+    if falls:
+        a, i = min(falls)
+        w_mono = AxiomWitness("monotone", (a, a | 1 << i))
+    rises = []
+    for i in range(n - 1):
+        gains = _gains(v, 1 << i)
+        low = (1 << i) - 1
+        for j in range(i + 1, n):
+            # in the gains, A sits at c with bit i cut out, and j at bit j - 1
+            c = _first_pair(lt, gains, 1 << (j - 1))
+            if c is not None:
+                rises.append(((c & ~low) << 1 | c & low, i, j))
+    if rises:
+        a, i, j = min(rises)
+        w_sub = AxiomWitness("submodular", (a,), (i, j))
     # d is None only past 512 bits, so never for an integer table
     integer = d == 1
     is_poly = w_nonneg is None and w_mono is None and w_sub is None
@@ -162,6 +186,17 @@ def _cyclic_part(v: list, flat: int) -> int:
     return out
 
 
+def _flat_marks(v: list, n: int) -> list[bool]:
+    """Per mask, whether it is a flat: one pass per element i marks each A
+    without i with v(A) = v(A + i) as no flat."""
+    size = len(v)
+    flat = [True] * size
+    for i in range(n):
+        for lo, hi in _halves(size, 1 << i):
+            flat[lo] = map(and_, flat[lo], map(ne, v[lo], v[hi]))
+    return flat
+
+
 def closure(f: SetFunction, subset: int) -> int:
     """Smallest flat containing ``subset``, for a polymatroid ``f``.
 
@@ -180,9 +215,8 @@ def is_flat(f: SetFunction, subset: int) -> bool:
 
 def flats(f: SetFunction) -> list[int]:
     """All flats, ordered by (cardinality, bit pattern)."""
-    out = [m for m in f.ground.subsets() if is_flat(f, m)]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    _, v = _common_denominator(f.values)
+    return sorted(compress(f.ground.subsets(), _flat_marks(v, f.ground.n)), key=int.bit_count)
 
 
 def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
@@ -208,16 +242,26 @@ def max_cyclic_flat(f: SetFunction, flat: int) -> int:
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     """The ranked lattice of cyclic flats together with the induced measure.
 
-    Both maps run on the common-denominator ints (on the ``Fraction`` values
-    past the bound); member ranks are the ``Fraction`` values.  ``f`` must be
-    a polymatroid.  The paper's theorem makes its cyclic flats a lattice, so
-    the family is not checked again; on any other input the result is
-    unspecified.  The CLI checks its input with ``check_polymatroid`` first.
+    Two marking passes per element i run on the common-denominator ints (on
+    the ``Fraction`` values past the bound): A is no flat where v(A) =
+    v(A + i), as in ``_closure``, and A + i is not cyclic where v(i) != 0 and
+    v(A + i) - v(A) >= v(i), as in ``_cyclic_part``.  The unmarked masks are
+    the members, in mask order, with the ``Fraction`` values as ranks.
+
+    ``f`` must be a polymatroid.  The paper's theorem makes its cyclic flats
+    a lattice, so the family is not checked again; on any other input the
+    result is unspecified.  The CLI checks its input with
+    ``check_polymatroid`` first.
     """
     _, v = _common_denominator(f.values)
     n = f.ground.n
-    fixed = (m for m in f.ground.subsets() if _closure(v, n, m) == m == _cyclic_part(v, m))
-    family = [(m, f.values[m]) for m in fixed]
+    keep = _flat_marks(v, n)
+    for i in range(n):
+        single = v[1 << i]
+        if single != 0:
+            for lo, hi in _halves(len(v), 1 << i):
+                keep[hi] = map(and_, keep[hi], map(lt, map(sub, v[hi], v[lo]), repeat(single)))
+    family = [(m, f.values[m]) for m in compress(f.ground.subsets(), keep)]
     return RankedLattice(f.ground, family), induced_measure(f)
 
 

@@ -157,11 +157,13 @@ def closed_random_lattice(seed: int, f: SetFunction) -> tuple[RankedLattice, Mea
 KERNEL_DENOMINATORS = (1, 2, 3, 7, 10**45 + 7, 10**41 + 3)
 
 
+@functools.lru_cache(maxsize=None)
 def rational_sum_table(seed: int, n: int, terms: int = 6) -> SetFunction:
     """Weighted sum of uniform ranks on random supports, any n <= 20.
 
     The same shape as ``random_polymatroid(mode="sum")``, which stops at
-    n = 10; a polymatroid by construction, with rational weights.
+    n = 10; a polymatroid by construction, with rational weights.  Cached,
+    since the scale tests at n = 16 share one table.
     """
     rng = random.Random(seed)
     summands = [

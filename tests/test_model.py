@@ -1,5 +1,6 @@
 """Ground sets, set functions, and additive measures."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from polyflats import (
     submasks,
     to_fraction,
 )
-from polyflats.model import _LCM_BITS_SLACK, _common_denominator
+from polyflats.model import _LCM_BITS_SLACK, _common_denominator, _halves
 
 
 def test_to_fraction_accepts_exact_inputs():
@@ -64,6 +65,26 @@ def test_bits_and_submasks():
     subs = list(submasks(0b101))
     assert set(subs) == {0b000, 0b001, 0b100, 0b101}
     assert len(subs) == 4
+
+
+def test_halves_pair_each_mask_with_its_step_once():
+    layouts = set()
+    for n in range(13):
+        size = 1 << n
+        bound = 2 * (math.isqrt(size - 1) + 1)  # 2 * ceil(sqrt(size))
+        masks = range(size)
+        for i in range(n):
+            step = 1 << i
+            pairs = list(_halves(size, step))
+            assert 0 < len(pairs) <= bound, (n, i)
+            lows, highs = [], []
+            for lo, hi in pairs:
+                lows += masks[lo]
+                highs += masks[hi]
+                layouts.add("stride" if masks[lo].step > 1 else "block")
+            assert sorted(lows) == [a for a in masks if not a & step], (n, i)
+            assert highs == [a | step for a in lows], (n, i)
+    assert layouts == {"block", "stride"}
 
 
 def test_ground_set_basics():

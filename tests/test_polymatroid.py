@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from polyflats import (
+    AxiomWitness,
     GroundSet,
     NotAFlat,
     SetFunction,
     check_polymatroid,
     closure,
     coloops,
+    convolve,
     cyclic_flats,
     flats,
     is_cyclic_flat,
@@ -23,7 +25,7 @@ from polyflats import (
     uniform_matroid,
 )
 
-from polyflats.model import _common_denominator
+from polyflats.model import _common_denominator, _halves
 
 import _oracles
 import corpus
@@ -195,22 +197,71 @@ def test_axiom_scan_matches_fraction_reference_past_the_int_bound():
             assert seen[axiom, past_bound] > 0, (axiom, past_bound)
 
 
-def test_axiom_scan_at_fourteen_and_twelve_elements():
-    f = corpus.rational_sum_table(14, 14)
+def _layout(size, step):
+    lo, _ = next(_halves(size, step))
+    return "block" if range(size)[lo].step == 1 else "stride"
+
+
+def _moved(f, changes):
+    values = list(f.values)
+    for mask, shift in changes.items():
+        values[mask] += shift
+    return SetFunction(f.ground, values)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_monotone_witness_is_the_least_over_all_passes(n):
+    # Lowering v({a, b}) below both singletons breaks exactly the steps
+    # ({b}, a) and ({a}, b) for a < b: pass a finds {b}, and the later pass
+    # b finds the smaller mask {a}, which is the first in scan order.  The
+    # third case also lowers v({2, 3}), so the stride pass of element 2
+    # breaks at {3} in its first slice pair and at the smaller {0} in the
+    # next one.
+    f = corpus.coprime_denominator_table(n)
+    assert (_common_denominator(f.values)[0] is None) == (n >= 7)
+    layouts = set()
+    for a, b, extra in [(0, 2, []), (1, n - 1, []), (0, 2, [0b1100])]:
+        g = _moved(f, dict.fromkeys([1 << a | 1 << b, *extra], -n))
+        report = check_polymatroid(g)
+        assert report.nonnegative and not report.monotone
+        assert report.witness == AxiomWitness("monotone", (1 << a, 1 << a | 1 << b))
+        assert report == _oracles.check_polymatroid_reference(g)
+        layouts.add(_layout(1 << n, 1 << b))
+    assert layouts == {"stride", "block"}
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_submodular_witness_is_the_least_over_all_passes(n):
+    # Raising v(S), S = {a, b, c}, by 2 closes the exchange margin of 1 at
+    # ({c}, a, b), ({b}, a, c), ({a}, b, c) and at S with any two elements
+    # outside it, but no monotone margin: the passes (a, b) and (a, c) come
+    # first, and the later pass (b, c) finds the least mask {a}.
+    f = corpus.coprime_denominator_table(n)
+    layouts = set()
+    for a, b, c in [(0, 1, 2), (0, 2, n - 1)]:
+        g = _moved(f, {1 << a | 1 << b | 1 << c: 2})
+        report = check_polymatroid(g)
+        assert report.nonnegative and report.monotone and not report.submodular
+        assert report.witness == AxiomWitness("submodular", (1 << a,), (b, c))
+        assert report == _oracles.check_polymatroid_reference(g)
+        # pass (b, c) runs on the 2^(n-1) gains of b, where c is bit c - 1
+        layouts.add(_layout(1 << (n - 1), 1 << (c - 1)))
+    assert layouts == {"stride", "block"}
+
+
+def test_axiom_scan_at_sixteen_and_twelve_elements():
+    f = corpus.rational_sum_table(16, 16)
     report = check_polymatroid(f)
     assert report.is_polymatroid and not report.integer_valued and not report.is_matroid
-    values = list(f.values)
-    values[f.ground.full ^ 0b1010] += 5
-    g = SetFunction(f.ground, values)
+    g = _moved(f, {f.ground.full ^ 0b1010: 5})
     report = check_polymatroid(g)
     assert not report.is_polymatroid
     assert _oracles.axiom_witness_violates(g, report.witness)
+    assert convolve(*cyclic_flats(f)) == f
 
     # the Fraction reference takes about 0.5 s at n = 12
     f = corpus.rational_sum_table(12, 12)
-    values = list(f.values)
-    values[f.ground.full ^ 0b1010] += 5
-    g = SetFunction(f.ground, values)
+    g = _moved(f, {f.ground.full ^ 0b1010: 5})
     report = check_polymatroid(g)
     assert report.witness is not None
     assert report == _oracles.check_polymatroid_reference(g)
@@ -332,6 +383,19 @@ def test_cyclic_flats_match_element_scan_on_both_kernel_paths(all_functions):
         assert list(lattice.members) == _by_size(expected)
         for m, rank in lattice.items():
             assert type(rank) is Fraction and rank == f.values[m]
+    # flats on both paths, with values copied up to a neighbour so that not
+    # every set is a flat
+    rng = random.Random(3)
+    for f in coprime:
+        values = list(f.values)
+        for _ in range(len(values) // 4):
+            i = rng.randrange(f.ground.n)
+            a = rng.randrange(len(values)) & ~(1 << i)
+            values[a | 1 << i] = values[a]
+        g = SetFunction(f.ground, values)
+        assert (_common_denominator(g.values)[0] is None) == (g.ground.n >= 7)
+        expected = _by_size(m for m in g.ground.subsets() if _oracles.flat_by_scan(g, m))
+        assert flats(g) == expected and len(expected) < len(values)
 
 
 def test_cyclic_flats_at_fourteen_elements():
