@@ -13,10 +13,9 @@ ranks of what covers (a member, or the union of a pair), then take its
 superset-min transform ``h(A) = min{h(Z) : Z contains A}``, n passes over
 the subset cube as in the zeta transforms of Bjorklund, Husfeldt, Kaski and
 Koivisto ("Fourier meets Moebius: fast subset convolution", STOC 2007).
-Pass i lowers each h(A) without i to h(A + i) where that is less; the
-slices of ``model._halves`` line the pairs up so one ``map`` does a pass.
-For two lattices h is the answer.  For one lattice the measure pays for
-the part of A a member leaves out, by the recurrence
+Pass i lowers each h(A) without i to h(A + i) where that is less.  For two
+lattices h is the answer.  For one lattice the measure pays for the part of
+A a member leaves out, by the recurrence
 
     r(A) = min(h(A), min over i in A of  r(A - i) + mu(i))
 
@@ -24,12 +23,20 @@ which holds because mu >= 0: an optimal Z either contains A, giving h(A),
 or misses some i in A, and then rank(Z) + mu(A - Z) is rank(Z) +
 mu((A - i) - Z) + mu(i), at least r(A - i) + mu(i); conversely each
 right-hand term is the value of some Z at A or exceeds one.  Taken one
-element at a time, it is again n slice passes, each lowering r(A + i) to
-r(A) + mu(i) where that is less.  Both transforms run on ints over the
-common denominator of the ranks and the measure, or on the ``Fraction``
-values when that denominator would be too long (see ``model``), so the
-result is exact.  The ints go back to ``Fraction`` one distinct value at a
-time; the distinct values are usually far fewer than the 2^n entries.
+element at a time, it is again n passes, each lowering r(A + i) to
+r(A) + mu(i) where that is less.
+
+Both transforms run on ints over the common denominator of the ranks and
+the measure, so the result is exact.  Where the span of the seeded table,
+plus the largest mu(i) for the recurrence, fits ``model._packing``'s
+fields, a pass is a min of two packed tables (``model._Fields.lower``): the
+table and itself shifted by one element, the guard mask of the fields
+where the second is less spread over those fields to pick them.  Wider
+tables keep slice passes, where the slices of ``model._halves`` line the
+pairs up so one ``map(min, ...)`` does a pass; so do the ``Fraction``
+values when that denominator would be too long (see ``model``).  The
+result keeps its ints, over the lcm of its own denominators, which may be
+smaller than that of the ranks and the measure.
 
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what
@@ -51,6 +58,9 @@ from .model import (
     SetFunction,
     _common_denominator,
     _halves,
+    _lowest_terms,
+    _pack,
+    _unpack,
     bits,
     format_rational,
 )
@@ -66,13 +76,18 @@ def _superset_min(h: list[int]) -> None:
         step *= 2
 
 
-def _read_back(h: list, d: int | None) -> list:
-    """The values ``h`` stands for over the denominator d, building one
-    ``Fraction`` per distinct value."""
-    if d is None:
-        return h
-    value = {x: Fraction(x, d) for x in set(h)}
-    return [value[x] for x in h]
+def _packed_superset_min(fields, table: int) -> int:
+    """``_superset_min`` on a packed table."""
+    for i in range(fields.n):
+        table ^= fields.lower(table, table >> (fields.width << i), fields.guards(i))
+    return table
+
+
+def _result(ground: GroundSet, d: int | None, h: list) -> SetFunction:
+    """The table of the values ``h`` stands for over d, holding its own
+    ``_common_denominator`` pair."""
+    held = _common_denominator(h) if d is None else _lowest_terms(d, h)
+    return SetFunction._from_scaled(ground, *held)
 
 
 def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
@@ -87,13 +102,23 @@ def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
     h = [ranks[0] + sum(weights)] * (1 << lattice.ground.n)
     for z, rank in zip(lattice.members, ranks):
         h[z] = rank
-    _superset_min(h)
-    # The recurrence one element at a time: after element i, h[A] is the
-    # best cover of A that may leave out elements up to i at their measure.
-    for i, w in enumerate(weights):
-        for lo, hi in _halves(len(h), 1 << i):
-            h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
-    return SetFunction(lattice.ground, _read_back(h, d))
+    packed = _pack(d, h, max(weights, default=0))
+    if packed:
+        fields, table, low = packed
+        table = _packed_superset_min(fields, table)
+        # The recurrence one element at a time: after element i, h[A] is the
+        # best cover of A that may leave out elements up to i at their measure.
+        for i, w in enumerate(weights):
+            step = fields.width << i
+            up = table >> step
+            table ^= fields.lower(up, table + fields.fill(w), fields.guards(i)) << step
+        h = _unpack(fields, table, low)
+    else:
+        _superset_min(h)
+        for i, w in enumerate(weights):
+            for lo, hi in _halves(len(h), 1 << i):
+                h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
+    return _result(lattice.ground, d, h)
 
 
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
@@ -122,8 +147,13 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
         for u2, r2 in twos:
             if r1 + r2 < h[u1 | u2]:
                 h[u1 | u2] = r1 + r2
-    _superset_min(h)
-    return SetFunction(ground, _read_back(h, d))
+    packed = _pack(d, h)
+    if packed:
+        fields, table, low = packed
+        h = _unpack(fields, _packed_superset_min(fields, table), low)
+    else:
+        _superset_min(h)
+    return _result(ground, d, h)
 
 
 @dataclass(frozen=True)

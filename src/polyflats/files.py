@@ -19,7 +19,9 @@ writer walks that order once.  The reader walks it alongside the file's keys,
 so a file in file order costs one string comparison per key; any other key
 (out of order, or not canonical like ``"b,a"``) is split and parsed as
 before, so every refusal reads the same.  Tables repeat few values, so the
-reader parses each distinct rational string once.
+reader parses each distinct rational string once and scales it once to the
+common-denominator int that the table keeps for the kernels; the writer
+formats each distinct kept int once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from typing import Iterator
 
 from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
-from .model import FileFormatError, GroundSet, Measure, SetFunction, format_rational
+from .model import (
+    FileFormatError,
+    GroundSet,
+    Measure,
+    SetFunction,
+    _lcm_or_none,
+    format_rational,
+)
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -100,8 +109,12 @@ def polymatroid_to_doc(f: SetFunction) -> dict:
     for label in f.ground.names:
         if "," in label:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
-    values = f.values
-    rank = {key: format_rational(values[m]) for key, m in _file_order(f.ground)}
+    d, scaled = f._scaled()
+    if d is None:
+        text = format_rational
+    else:
+        text = {x: format_rational(Fraction(x, d)) for x in set(scaled)}.__getitem__
+    rank = {key: text(scaled[m]) for key, m in _file_order(f.ground)}
     return {"ground": list(f.ground.names), "rank": rank}
 
 
@@ -112,26 +125,36 @@ def polymatroid_from_doc(doc) -> SetFunction:
         raise FileFormatError("polymatroid document needs a 'rank' map")
     order = _file_order(ground)
     parsed: dict[str, Fraction] = {}
-    values: list[Fraction | None] = [None] * (1 << ground.n)
+    texts: list[str | None] = [None] * (1 << ground.n)
     for key, text in rank.items():
         expected, mask = next(order, (None, None))
         if mask is None or key != expected:
             # out of file order, not canonical, or past the last subset
             mask = parse_subset_key(ground, key)
-        if values[mask] is not None:
+        if texts[mask] is not None:
             raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
         try:
-            value = parsed[text]
-        except KeyError:
-            value = parsed[text] = parse_rational(text)
+            if text not in parsed:
+                parsed[text] = parse_rational(text)
         except TypeError:  # unhashable, so not a string: parse_rational refuses it
-            value = parse_rational(text)
-        values[mask] = value
+            parse_rational(text)
+        texts[mask] = text
     # no subset is filled twice, so fewer keys than subsets leaves a hole
-    if len(rank) < len(values):
-        key = next(key for key, m in _file_order(ground) if values[m] is None)
+    if len(rank) < len(texts):
+        key = next(key for key, m in _file_order(ground) if texts[m] is None)
         raise FileFormatError(f"missing subset {key!r}")
-    return SetFunction(ground, values)
+    # scale each distinct value once, to the ints the kernels read
+    length = {text: q.denominator.bit_length() for text, q in parsed.items()}
+    d = _lcm_or_none(
+        {q.denominator for q in parsed.values()},
+        lambda: sum(map(length.__getitem__, texts)),
+        len(texts),
+    )
+    if d is None:
+        scaled = parsed
+    else:
+        scaled = {text: q.numerator * (d // q.denominator) for text, q in parsed.items()}
+    return SetFunction._from_scaled(ground, d, list(map(scaled.__getitem__, texts)))
 
 
 def lattice_to_doc(lattice: RankedLattice) -> dict:

@@ -9,10 +9,15 @@ fixed points of the map ``_closure``, cyclic flats those of ``_cyclic_part``
 too; the per-mask predicates apply these maps to one subset.
 
 The whole-table scans (``check_polymatroid``, ``flats`` and
-``cyclic_flats``) instead run slice passes over the table scaled to ints
-over its common denominator (the ``Fraction`` values past the bound): for
-each element i, ``model._halves`` lines every A without i up with A + i,
-and one ``map`` compares or marks all those pairs at once.
+``cyclic_flats``) instead run one pass per element i (or pair i, j) over
+the table's held ints, each pass comparing every A without i with A + i at
+once.  On the packed table of ``model._Fields`` a pass is a shift and a
+guarded subtraction: the guard bits that come out set are the violating or
+marked masks, the least of them the lowest set bit.  Flat marks are
+equality, a guard set both ways; the cyclic flats are the guard bits that
+no pass marks.  Tables too wide to pack, or on the ``Fraction`` fallback,
+run the same passes as slices of the list: ``model._halves`` lines the
+pairs up and one ``map`` compares or marks them.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .lattice import RankedLattice
 from .model import (
     Measure,
     SetFunction,
-    _common_denominator,
     _gains,
     _halves,
+    _pack,
     bits,
     induced_measure,
 )
@@ -92,31 +97,31 @@ def _first_pair(holds, t: list, step: int) -> int | None:
     return min(next(compress(masks[lo], map(holds, t[lo], t[hi])), len(t)) for lo, hi in pairs)
 
 
-def check_polymatroid(f: SetFunction) -> PolymatroidReport:
-    """Check the three axioms plus integrality and matroid-hood.
+def _packed_axioms(fields, table: int) -> tuple[list, list]:
+    """The least violating mask of every monotone pass (i) and exchange
+    pass (i, j) on a packed table, as ``(A, i)`` and ``(A, i, j)``."""
+    w, n = fields.width, fields.n
+    falls, rises = [], []
+    for i in range(n):
+        fall = fields.greater(table, table >> (w << i), fields.guards(i))
+        if fall:
+            falls.append((fields.first(fall), i))
+    bias = fields.fill(1 << (w - 2))
+    for i in range(n - 1):
+        # v(A + i) - v(A) + 2^(W-2) at each A without i, 0 at the rest
+        step = w << i
+        gains = ((table >> step) + bias - table) & fields.fill((1 << (w - 1)) - 1, i)
+        for j in range(i + 1, n):
+            # at an A with i, the gains at A and A + j are both 0
+            rise = fields.greater(gains >> (w << j), gains, fields.guards(j))
+            if rise:
+                rises.append((fields.first(rise), i, j))
+    return falls, rises
 
-    The witness, when present, is the first violation found scanning
-    non-negativity, then monotonicity, then submodularity, each in subset
-    order.  The scans read the table as ints over its common denominator,
-    or as the ``Fraction`` values when that denominator would be too long.
 
-    Each axiom is a set of slice passes, one per element or element pair.
-    Monotonicity needs only single-element steps, since a violating pair
-    A < B yields a violating step on a chain between them: pass i looks for
-    v(A) > v(A + i).  Submodularity needs only the local exchanges
-    v(A+i) + v(A+j) >= v(A+i+j) + v(A) for i < j outside A: pass (i, j)
-    looks for a rise of the gain of i from A to A + j.  The first violation
-    in the scan order (A, i) or (A, i, j) is the least of the passes' least
-    violating masks paired with their elements.
-    """
-    d, v = _common_denominator(f.values)
-    n = f.ground.n
-    w_nonneg = _nonnegative_witness(v)
-    w_mono = w_sub = None
+def _sliced_axioms(v: list, n: int) -> tuple[list, list]:
+    """``_packed_axioms`` as slice passes, on a list of ints or Fractions."""
     falls = [(a, i) for i in range(n) if (a := _first_pair(gt, v, 1 << i)) is not None]
-    if falls:
-        a, i = min(falls)
-        w_mono = AxiomWitness("monotone", (a, a | 1 << i))
     rises = []
     for i in range(n - 1):
         gains = _gains(v, 1 << i)
@@ -126,6 +131,40 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
             c = _first_pair(lt, gains, 1 << (j - 1))
             if c is not None:
                 rises.append(((c & ~low) << 1 | c & low, i, j))
+    return falls, rises
+
+
+def check_polymatroid(f: SetFunction) -> PolymatroidReport:
+    """Check the three axioms plus integrality and matroid-hood.
+
+    The witness, when present, is the first violation found scanning
+    non-negativity, then monotonicity, then submodularity, each in subset
+    order.  The scans read the table's held ints over its common
+    denominator, packed when its span allows, or the ``Fraction`` values
+    when that denominator would be too long.
+
+    Each axiom is a set of passes, one per element or element pair.
+    Monotonicity needs only single-element steps, since a violating pair
+    A < B yields a violating step on a chain between them: pass i looks for
+    v(A) > v(A + i).  Submodularity needs only the local exchanges
+    v(A+i) + v(A+j) >= v(A+i+j) + v(A) for i < j outside A: pass (i, j)
+    looks for a rise of the gain of i from A to A + j.  The first violation
+    in the scan order (A, i) or (A, i, j) is the least of the passes' least
+    violating masks paired with their elements.
+    """
+    d, v = f._scaled()
+    n = f.ground.n
+    w_nonneg = _nonnegative_witness(v)
+    w_mono = w_sub = None
+    packed = _pack(d, v)
+    if packed:
+        fields, table, _ = packed
+        falls, rises = _packed_axioms(fields, table)
+    else:
+        falls, rises = _sliced_axioms(v, n)
+    if falls:
+        a, i = min(falls)
+        w_mono = AxiomWitness("monotone", (a, a | 1 << i))
     if rises:
         a, i, j = min(rises)
         w_sub = AxiomWitness("submodular", (a,), (i, j))
@@ -147,20 +186,22 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
 
 def loops(f: SetFunction) -> int:
     """Mask of elements with singleton rank zero."""
+    _, v = f._scaled()
     out = 0
     for i in range(f.ground.n):
-        if f.values[1 << i] == 0:
+        if v[1 << i] == 0:
             out |= 1 << i
     return out
 
 
 def coloops(f: SetFunction) -> int:
     """Mask of elements whose removal from the full set costs their full rank."""
+    _, v = f._scaled()
     full = f.ground.full
     out = 0
     for i in range(f.ground.n):
         bit = 1 << i
-        if f.values[full] - f.values[full ^ bit] == f.values[bit]:
+        if v[full] - v[full ^ bit] == v[bit]:
             out |= bit
     return out
 
@@ -197,6 +238,50 @@ def _flat_marks(v: list, n: int) -> list[bool]:
     return flat
 
 
+def _cyclic_marks(v: list, n: int) -> list[bool]:
+    """Per mask, whether it is a cyclic flat: ``_flat_marks``, then one pass
+    per non-loop i marks each A + i with v(A + i) - v(A) >= v(i)."""
+    keep = _flat_marks(v, n)
+    for i in range(n):
+        single = v[1 << i]
+        if single != 0:
+            for lo, hi in _halves(len(v), 1 << i):
+                keep[hi] = map(and_, keep[hi], map(lt, map(sub, v[hi], v[lo]), repeat(single)))
+    return keep
+
+
+def _packed_marks(fields, table: int, singles: list | None) -> int:
+    """The guard bits of the masks that are no flat on a packed table, and,
+    given the singleton values, of those that are not cyclic either."""
+    w, n = fields.width, fields.n
+    # the gains v(A + i) - v(A) lie within +-cap
+    cap = (1 << (w - 2)) - 1
+    marks = 0
+    for i in range(n):
+        step, at = w << i, fields.guards(i)
+        up = table >> step
+        marks |= fields.equal(table, up, at)
+        if singles is not None and singles[i] != 0:
+            # v(A + i) - v(A) >= v(i) keeps the guard of v(A + i) + 2^(W-1)
+            # - v(i) - v(A); clipped to [-cap, cap + 1], v(i) marks the same
+            # masks and the field neither borrows nor carries
+            single = min(max(singles[i], -cap), cap + 1)
+            marks |= ((up + fields.fill((1 << (w - 1)) - single) - table) & at) << step
+    return marks
+
+
+def _marked_flats(f: SetFunction, cyclic: bool) -> list[int]:
+    """The flats of ``f``, or its cyclic flats, in mask order."""
+    d, v = f._scaled()
+    n = f.ground.n
+    packed = _pack(d, v)
+    if packed:
+        fields, table, _ = packed
+        singles = [v[1 << i] for i in range(n)] if cyclic else None
+        return fields.marked(fields.guard ^ _packed_marks(fields, table, singles))
+    return list(compress(f.ground.subsets(), (_cyclic_marks if cyclic else _flat_marks)(v, n)))
+
+
 def closure(f: SetFunction, subset: int) -> int:
     """Smallest flat containing ``subset``, for a polymatroid ``f``.
 
@@ -205,7 +290,7 @@ def closure(f: SetFunction, subset: int) -> int:
     conditional rank zero over the result (monotonicity).
     """
     f.ground.check_mask(subset)
-    return _closure(f.values, f.ground.n, subset)
+    return _closure(f._scaled()[1], f.ground.n, subset)
 
 
 def is_flat(f: SetFunction, subset: int) -> bool:
@@ -215,14 +300,13 @@ def is_flat(f: SetFunction, subset: int) -> bool:
 
 def flats(f: SetFunction) -> list[int]:
     """All flats, ordered by (cardinality, bit pattern)."""
-    _, v = _common_denominator(f.values)
-    return sorted(compress(f.ground.subsets(), _flat_marks(v, f.ground.n)), key=int.bit_count)
+    return sorted(_marked_flats(f, cyclic=False), key=int.bit_count)
 
 
 def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
     """A flat is cyclic when each member is a loop or sits strictly below
     its singleton rank given the rest."""
-    return is_flat(f, subset) and _cyclic_part(f.values, subset) == subset
+    return is_flat(f, subset) and _cyclic_part(f._scaled()[1], subset) == subset
 
 
 def max_cyclic_flat(f: SetFunction, flat: int) -> int:
@@ -236,32 +320,25 @@ def max_cyclic_flat(f: SetFunction, flat: int) -> int:
     """
     if not is_flat(f, flat):
         raise NotAFlat(f"{f.ground.describe(flat)} is not a flat")
-    return _cyclic_part(f.values, flat)
+    return _cyclic_part(f._scaled()[1], flat)
 
 
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     """The ranked lattice of cyclic flats together with the induced measure.
 
-    Two marking passes per element i run on the common-denominator ints (on
-    the ``Fraction`` values past the bound): A is no flat where v(A) =
-    v(A + i), as in ``_closure``, and A + i is not cyclic where v(i) != 0 and
-    v(A + i) - v(A) >= v(i), as in ``_cyclic_part``.  The unmarked masks are
-    the members, in mask order, with the ``Fraction`` values as ranks.
+    Two marking passes per element i run on the held ints, packed when
+    their span allows (on the ``Fraction`` values past the bound): A is no
+    flat where v(A) = v(A + i), as in ``_closure``, and A + i is not cyclic
+    where v(i) != 0 and v(A + i) - v(A) >= v(i), as in ``_cyclic_part``.
+    The unmarked masks are the members, in mask order, with the ``Fraction``
+    values as ranks.
 
     ``f`` must be a polymatroid.  The paper's theorem makes its cyclic flats
     a lattice, so the family is not checked again; on any other input the
     result is unspecified.  The CLI checks its input with
     ``check_polymatroid`` first.
     """
-    _, v = _common_denominator(f.values)
-    n = f.ground.n
-    keep = _flat_marks(v, n)
-    for i in range(n):
-        single = v[1 << i]
-        if single != 0:
-            for lo, hi in _halves(len(v), 1 << i):
-                keep[hi] = map(and_, keep[hi], map(lt, map(sub, v[hi], v[lo]), repeat(single)))
-    family = [(m, f.values[m]) for m in compress(f.ground.subsets(), keep)]
+    family = [(m, f(m)) for m in _marked_flats(f, cyclic=True)]
     return RankedLattice(f.ground, family), induced_measure(f)
 
 
@@ -273,5 +350,9 @@ def reconstruction_failure(f: SetFunction) -> int | None:
     """
     from .convolution import convolve  # convolution imports this module
 
-    rebuilt = convolve(*cyclic_flats(f)).values
-    return next((a for a in f.ground.subsets() if rebuilt[a] != f.values[a]), None)
+    rebuilt = convolve(*cyclic_flats(f))
+    (d, v), (e, w) = f._scaled(), rebuilt._scaled()
+    if d != e:
+        # ints over different denominators: compare the values themselves
+        v, w = f.values, rebuilt.values
+    return next((a for a, (x, y) in enumerate(zip(v, w)) if x != y), None)

@@ -22,6 +22,7 @@ from polyflats import (
     uniform_matroid,
     validate_lattice,
 )
+from polyflats.model import _pack
 
 
 def named_matroids() -> list[tuple[str, SetFunction]]:
@@ -163,7 +164,7 @@ def rational_sum_table(seed: int, n: int, terms: int = 6) -> SetFunction:
 
     The same shape as ``random_polymatroid(mode="sum")``, which stops at
     n = 10; a polymatroid by construction, with rational weights.  Cached,
-    since the scale tests at n = 16 share one table.
+    since the larger tables take seconds to build.
     """
     rng = random.Random(seed)
     summands = [
@@ -230,6 +231,40 @@ def coprime_denominator_table(n: int) -> SetFunction:
         GroundSet(tuple(f"e{i}" for i in range(n))),
         [sum(range(n, n - m.bit_count(), -1)) + Fraction(1, primes[m]) for m in range(1 << n)],
     )
+
+
+def halves_table(n: int) -> SetFunction:
+    """min(|A ∩ L|, n/4) + min(|A ∩ R|, n/5)/3 for the lower half L of the
+    elements and the upper half R, built from the two counts per mask so
+    that n = 20 takes well under a second."""
+    half = n // 2
+    rank = [[Fraction(min(a, n // 4)) + Fraction(min(b, n // 5), 3) for b in range(n - half + 1)]
+            for a in range(half + 1)]
+    low = (1 << half) - 1
+    return SetFunction(
+        GroundSet(tuple(f"e{i}" for i in range(n))),
+        [rank[(m & low).bit_count()][(m >> half).bit_count()] for m in range(1 << n)],
+    )
+
+
+def small_denominator_table(n: int) -> SetFunction:
+    """``coprime_denominator_table`` with shifts of 0, 1/21 and 2/21 in turn
+    instead of 1/p: the same margin of 1, on ints over 21 that the kernels
+    pack."""
+    return SetFunction(
+        GroundSet(tuple(f"e{i}" for i in range(n))),
+        [sum(range(n, n - m.bit_count(), -1)) + Fraction(m % 3, 21) for m in range(1 << n)],
+    )
+
+
+def kernel_path(f: SetFunction) -> str:
+    """Which form the 2^n kernels run ``f`` on: ``packed8`` to ``packed64``
+    by field width, ``slices`` for ints too wide to pack, or ``fractions``."""
+    d, v = f._scaled()
+    if d is None:
+        return "fractions"
+    packed = _pack(d, v)
+    return f"packed{packed[0].width}" if packed else "slices"
 
 
 def random_family_lattice(rng: random.Random, ground: GroundSet, top: int) -> RankedLattice:

@@ -209,19 +209,36 @@ def _moved(f, changes):
     return SetFunction(f.ground, values)
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_monotone_witness_is_the_least_over_all_passes(n):
+# The witness tables on each kernel path: distinct prime denominators give
+# ints too wide to pack at n = 6 and the Fraction fallback at n = 8; the same
+# concave table with thirds of 1/7 packs.
+WITNESS_TABLES = [
+    pytest.param(6, "slices", id="6"),
+    pytest.param(8, "fractions", id="8"),
+    pytest.param(6, "packed", id="packed-6"),
+    pytest.param(8, "packed", id="packed-8"),
+]
+
+
+def _witness_table(n, path):
+    if path == "packed":
+        return corpus.small_denominator_table(n)
+    return corpus.coprime_denominator_table(n)
+
+
+@pytest.mark.parametrize("n, path", WITNESS_TABLES)
+def test_monotone_witness_is_the_least_over_all_passes(n, path):
     # Lowering v({a, b}) below both singletons breaks exactly the steps
     # ({b}, a) and ({a}, b) for a < b: pass a finds {b}, and the later pass
     # b finds the smaller mask {a}, which is the first in scan order.  The
-    # third case also lowers v({2, 3}), so the stride pass of element 2
-    # breaks at {3} in its first slice pair and at the smaller {0} in the
-    # next one.
-    f = corpus.coprime_denominator_table(n)
-    assert (_common_denominator(f.values)[0] is None) == (n >= 7)
+    # third case also lowers v({2, 3}), so pass 2 breaks at {3} and at the
+    # smaller {0}: in the stride pass of element 2 {3} comes in the first
+    # slice pair and {0} in the next one, and in a packed pass both are set.
+    f = _witness_table(n, path)
     layouts = set()
     for a, b, extra in [(0, 2, []), (1, n - 1, []), (0, 2, [0b1100])]:
         g = _moved(f, dict.fromkeys([1 << a | 1 << b, *extra], -n))
+        assert corpus.kernel_path(g).startswith(path)
         report = check_polymatroid(g)
         assert report.nonnegative and not report.monotone
         assert report.witness == AxiomWitness("monotone", (1 << a, 1 << a | 1 << b))
@@ -230,16 +247,17 @@ def test_monotone_witness_is_the_least_over_all_passes(n):
     assert layouts == {"stride", "block"}
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_submodular_witness_is_the_least_over_all_passes(n):
+@pytest.mark.parametrize("n, path", WITNESS_TABLES)
+def test_submodular_witness_is_the_least_over_all_passes(n, path):
     # Raising v(S), S = {a, b, c}, by 2 closes the exchange margin of 1 at
     # ({c}, a, b), ({b}, a, c), ({a}, b, c) and at S with any two elements
     # outside it, but no monotone margin: the passes (a, b) and (a, c) come
     # first, and the later pass (b, c) finds the least mask {a}.
-    f = corpus.coprime_denominator_table(n)
+    f = _witness_table(n, path)
     layouts = set()
     for a, b, c in [(0, 1, 2), (0, 2, n - 1)]:
         g = _moved(f, {1 << a | 1 << b | 1 << c: 2})
+        assert corpus.kernel_path(g).startswith(path)
         report = check_polymatroid(g)
         assert report.nonnegative and report.monotone and not report.submodular
         assert report.witness == AxiomWitness("submodular", (1 << a,), (b, c))
@@ -249,15 +267,19 @@ def test_submodular_witness_is_the_least_over_all_passes(n):
     assert layouts == {"stride", "block"}
 
 
-def test_axiom_scan_at_sixteen_and_twelve_elements():
-    f = corpus.rational_sum_table(16, 16)
+def test_axiom_scan_at_twenty_and_twelve_elements():
+    # at the ground-set cap, the sum of a uniform rank on each half, one of
+    # them in thirds: cyclic flats {}, either half and the whole set
+    f = corpus.halves_table(20)
     report = check_polymatroid(f)
     assert report.is_polymatroid and not report.integer_valued and not report.is_matroid
     g = _moved(f, {f.ground.full ^ 0b1010: 5})
     report = check_polymatroid(g)
     assert not report.is_polymatroid
     assert _oracles.axiom_witness_violates(g, report.witness)
-    assert convolve(*cyclic_flats(f)) == f
+    lattice, mu = cyclic_flats(f)
+    assert lattice.members == (0, 0x3FF, 0xFFC00, 0xFFFFF)
+    assert convolve(lattice, mu) == f
 
     # the Fraction reference takes about 0.5 s at n = 12
     f = corpus.rational_sum_table(12, 12)
