@@ -44,7 +44,7 @@ def _yes(flag: bool) -> str:
 
 
 def _emit_polymatroid(f, out) -> None:
-    doc = files.dumps_canonical(files.polymatroid_to_doc(f))
+    doc = files.polymatroid_text(f)
     if out:
         Path(out).write_text(doc, encoding="utf-8")
     else:

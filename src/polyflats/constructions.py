@@ -15,10 +15,13 @@ corpus and the CLI.  The two constructions are the interesting part:
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, cycle, islice, repeat
+from operator import add, mul
 
 from .convolution import convolve, convolve_lattices
 from .lattice import RankedLattice
@@ -27,6 +30,7 @@ from .model import (
     GroundSet,
     Measure,
     SetFunction,
+    _lowest_terms,
     bits,
     submasks,
 )
@@ -67,7 +71,8 @@ def uniform_matroid(k: int, n: int, labels=None) -> SetFunction:
     if not (isinstance(k, int) and isinstance(n, int) and 0 <= k <= n <= MAX_GROUND_SIZE):
         raise BadParameters(f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND_SIZE}")
     ground = _resolve_labels(n, labels)
-    return SetFunction.from_callable(ground, lambda a: min(a.bit_count(), k))
+    ranks = map(min, map(int.bit_count, ground.subsets()), repeat(k))
+    return SetFunction._from_scaled(ground, 1, list(ranks))
 
 
 def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
@@ -105,7 +110,7 @@ def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
                 components -= 1
         return vertices - components
 
-    return SetFunction.from_callable(ground, rank)
+    return SetFunction._from_scaled(ground, 1, list(map(rank, ground.subsets())))
 
 
 def random_polymatroid(
@@ -285,16 +290,32 @@ def infiltrate(spec: InfiltrationSpec) -> SetFunction:
     pivot at host prices, whichever is cheaper:
 
         r(A) = min( host(A&M) + guest(A&P),  host((A&M) + pivot) )
+
+    The kept host masks of the result, in order, are the host masks without
+    the pivot in ascending order, so each guest mask's block of the result
+    is one ``map`` over two selections of the host table, on the ints both
+    tables hold over the lcm of their denominators.
     """
     ground = spec.result_ground()
-    pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
-    values = []
-    for a in ground.subsets():
-        host_mask, guest_mask = _split(a, pivot, m)
-        direct = spec.host.values[host_mask] + spec.guest.values[guest_mask]
-        swallow = spec.host.values[host_mask | 1 << pivot]
-        values.append(min(direct, swallow))
-    return SetFunction(ground, values)
+    bit = spec.host.ground.singleton(spec.pivot)
+    (dh, host), (dg, guest) = spec.host._scaled(), spec.guest._scaled()
+    if dh is None or dg is None:
+        d, host, guest = None, spec.host.values, spec.guest.values
+    else:
+        d = math.lcm(dh, dg)
+        if d != dh:
+            host = list(map(mul, host, repeat(d // dh)))
+        if d != dg:
+            guest = map(mul, guest, repeat(d // dg))
+    without_pivot = [1] * bit + [0] * bit
+    without = list(compress(host, cycle(without_pivot)))
+    with_ = list(compress(islice(host, bit, None), cycle(without_pivot)))
+    values = list(
+        chain.from_iterable(map(min, map(add, without, repeat(g)), with_) for g in guest)
+    )
+    if d is None:
+        return SetFunction(ground, values)
+    return SetFunction._from_scaled(ground, *_lowest_terms(d, values))
 
 
 def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:

@@ -11,17 +11,23 @@ is the empty set.  Rationals are ``p`` or ``p/q`` in ASCII digits.  Writers
 emit subsets ordered by (cardinality, labels), so write -> read -> write is
 byte-identical.
 
-A rank table has 2^n entries, so its codec does no per-subset sorting or
-splitting.  ``_file_order`` lists every (key, mask) in file order straight
-from ``itertools.combinations`` over the labels in sorted order, which yields
-each cardinality's subsets in the order of their sorted label tuples.  The
-writer walks that order once.  The reader walks it alongside the file's keys,
-so a file in file order costs one string comparison per key; any other key
-(out of order, or not canonical like ``"b,a"``) is split and parsed as
-before, so every refusal reads the same.  Tables repeat few values, so the
-reader parses each distinct rational string once and scales it once to the
-common-denominator int that the table keeps for the kernels; the writer
-formats each distinct kept int once.
+A rank table has 2^n entries, so its codec keeps the per-subset work in C
+where it can.  ``_file_order`` lists every subset's key and mask in file
+order straight from ``itertools.combinations`` over the labels in sorted
+order, which yields each cardinality's subsets in the order of their sorted
+label tuples; grounds of up to 2^12 subsets keep these lists, larger ones
+get fresh iterators, as the lists would take over 100 MB at n = 20.  The
+writer, ``polymatroid_text``, formats each distinct value of the table's
+kept ints once and emits the rank lines as one ``str.join`` of the
+JSON-quoted keys and those texts, byte-identical to ``dumps_canonical`` of
+``polymatroid_to_doc``.  The reader takes a map whose keys are exactly the
+file order, and whose distinct values all parse, by moving the values to
+their masks in one loop and scaling each distinct one once to the
+common-denominator int that the table keeps for the kernels.  Any other map
+is read one key at a time: a key in its file-order place costs one string
+comparison, any other (out of order, or not canonical like ``"b,a"``) is
+split and parsed, so every refusal names the first bad key or value, as it
+always has.
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from json.encoder import encode_basestring
+from operator import add, eq
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
@@ -48,10 +56,14 @@ RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
+    if not isinstance(text, str) or not (match := RATIONAL_RE.fullmatch(text)):
         raise FileFormatError(f"bad rational {text!r}: expected p or p/q")
     try:
-        return Fraction(text)
+        # from ints, which Fraction takes faster than a string it would parse again
+        if match.group(1) is None:
+            return Fraction(int(text))
+        numerator, denominator = text.split("/")
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise FileFormatError(f"bad rational {text!r}: zero denominator") from None
     except ValueError:
@@ -96,54 +108,98 @@ def _ordered(ground: GroundSet, masks) -> list[tuple[tuple[str, ...], int]]:
     return sorted(((ground.sorted_labels(m), m) for m in masks), key=lambda p: (len(p[0]), p[0]))
 
 
-def _file_order(ground: GroundSet) -> Iterator[tuple[str, int]]:
-    """(subset key, mask) of every subset, in the file order of ``_ordered``."""
+class _FileOrder(NamedTuple):
+    """Every subset of a ground set in file order: its key, its key as it
+    stands between the quotes in a file (each label JSON-escaped), and its
+    mask."""
+
+    keys: Iterable[str]
+    quoted: Iterable[str]
+    masks: Iterable[int]
+
+
+# Grounds of at most 2^12 subsets keep their file order as lists, the few
+# used last; a larger one gets fresh iterators on each call, since at n = 20
+# the lists would take more than 100 MB.  An infiltration alone reads a host
+# and a guest and writes their result, and a process that runs several
+# commands in turn cycles through more grounds than that.
+_KEPT_ORDER_BITS = 12
+_KEPT_ORDERS = 8
+_orders: dict[tuple[str, ...], _FileOrder] = {}
+
+
+def _file_order(ground: GroundSet) -> _FileOrder:
+    """The ``_FileOrder`` of ``ground``, built in C: ``combinations`` over
+    the labels in sorted order yields each cardinality's subsets in the
+    order of their sorted label tuples, which is the order of ``_ordered``.
+    JSON escapes a string one character at a time and leaves commas alone,
+    so joining the escaped labels escapes the key."""
+    order = _orders.pop(ground.names, None)
+    if order is not None:
+        _orders[ground.names] = order  # now the one used last
+        return order
     labels = sorted(ground.names)
+    escaped = [encode_basestring(label)[1:-1] for label in labels]
     singletons = [ground.singleton(label) for label in labels]
-    for size in range(ground.n + 1):
-        keys = map(",".join, combinations(labels, size))
-        yield from zip(keys, map(sum, combinations(singletons, size)))
+    sizes = range(ground.n + 1)
+
+    def joined(names):
+        return chain.from_iterable(map(",".join, combinations(names, k)) for k in sizes)
+
+    masks = chain.from_iterable(map(sum, combinations(singletons, k)) for k in sizes)
+    if ground.n > _KEPT_ORDER_BITS:
+        return _FileOrder(joined(labels), joined(escaped), masks)
+    keys = list(joined(labels))
+    order = _FileOrder(keys, keys if escaped == labels else list(joined(escaped)), list(masks))
+    if len(_orders) >= _KEPT_ORDERS:
+        del _orders[next(iter(_orders))]
+    _orders[ground.names] = order
+    return order
+
+
+def _refuse_commas(ground: GroundSet) -> None:
+    for label in ground.names:
+        if "," in label:
+            raise FileFormatError(f"label {label!r} contains a comma; not serializable")
+
+
+def _formatted(f: SetFunction, template: str = "{}") -> tuple[list, Callable]:
+    """The kept values of ``f`` in mask order, and the text of each put in
+    ``template``: every distinct value is formatted once."""
+    d, scaled = f._scaled()
+    if d is None:
+        text = {x: template.format(format_rational(x)) for x in set(scaled)}
+    else:
+        text = {x: template.format(format_rational(Fraction(x, d))) for x in set(scaled)}
+    return scaled, text.__getitem__
 
 
 def polymatroid_to_doc(f: SetFunction) -> dict:
-    for label in f.ground.names:
-        if "," in label:
-            raise FileFormatError(f"label {label!r} contains a comma; not serializable")
-    d, scaled = f._scaled()
-    if d is None:
-        text = format_rational
-    else:
-        text = {x: format_rational(Fraction(x, d)) for x in set(scaled)}.__getitem__
-    rank = {key: text(scaled[m]) for key, m in _file_order(f.ground)}
-    return {"ground": list(f.ground.names), "rank": rank}
+    _refuse_commas(f.ground)
+    scaled, text = _formatted(f)
+    order = _file_order(f.ground)
+    return {
+        "ground": list(f.ground.names),
+        "rank": dict(zip(order.keys, map(text, map(scaled.__getitem__, order.masks)))),
+    }
 
 
-def polymatroid_from_doc(doc) -> SetFunction:
-    ground = _ground_from_doc(doc)
-    rank = doc.get("rank")
-    if not isinstance(rank, dict):
-        raise FileFormatError("polymatroid document needs a 'rank' map")
-    order = _file_order(ground)
-    parsed: dict[str, Fraction] = {}
-    texts: list[str | None] = [None] * (1 << ground.n)
-    for key, text in rank.items():
-        expected, mask = next(order, (None, None))
-        if mask is None or key != expected:
-            # out of file order, not canonical, or past the last subset
-            mask = parse_subset_key(ground, key)
-        if texts[mask] is not None:
-            raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
-        try:
-            if text not in parsed:
-                parsed[text] = parse_rational(text)
-        except TypeError:  # unhashable, so not a string: parse_rational refuses it
-            parse_rational(text)
-        texts[mask] = text
-    # no subset is filled twice, so fewer keys than subsets leaves a hole
-    if len(rank) < len(texts):
-        key = next(key for key, m in _file_order(ground) if texts[m] is None)
-        raise FileFormatError(f"missing subset {key!r}")
-    # scale each distinct value once, to the ints the kernels read
+def polymatroid_text(f: SetFunction) -> str:
+    """``dumps_canonical(polymatroid_to_doc(f))``, without the document: the
+    rank lines are one join, in C, of each quoted key and its value's text,
+    the quote that opens a key ending the text before it."""
+    _refuse_commas(f.ground)
+    scaled, text = _formatted(f, '": "{}"')
+    order = _file_order(f.ground)
+    names = ",\n".join("    " + encode_basestring(name) for name in f.ground.names)
+    head = '{\n  "ground": [' + (f"\n{names}\n  " if names else "") + '],\n  "rank": {\n    "'
+    rank = ',\n    "'.join(map(add, order.quoted, map(text, map(scaled.__getitem__, order.masks))))
+    return head + rank + "\n  }\n}\n"
+
+
+def _from_texts(ground: GroundSet, parsed: dict, texts: list) -> SetFunction:
+    """The table whose entry at mask m is ``parsed[texts[m]]``, each
+    distinct value scaled once to the ints the kernels read."""
     length = {text: q.denominator.bit_length() for text, q in parsed.items()}
     d = _lcm_or_none(
         {q.denominator for q in parsed.values()},
@@ -157,10 +213,59 @@ def polymatroid_from_doc(doc) -> SetFunction:
     return SetFunction._from_scaled(ground, d, list(map(scaled.__getitem__, texts)))
 
 
+def polymatroid_from_doc(doc) -> SetFunction:
+    ground = _ground_from_doc(doc)
+    rank = doc.get("rank")
+    if not isinstance(rank, dict):
+        raise FileFormatError("polymatroid document needs a 'rank' map")
+    order = _file_order(ground)
+    if len(rank) == 1 << ground.n and all(map(eq, rank, order.keys)):
+        # every key in file order: if every value parses, the table is the
+        # values moved to their masks
+        texts = [None] * len(rank)
+        for mask, text in zip(order.masks, rank.values()):
+            texts[mask] = text
+        try:
+            parsed = {text: parse_rational(text) for text in set(texts)}
+        except (FileFormatError, TypeError):  # TypeError: an unhashable value
+            pass
+        else:
+            return _from_texts(ground, parsed, texts)
+    return _from_rank_items(ground, rank)
+
+
+def _from_rank_items(ground: GroundSet, rank: dict) -> SetFunction:
+    """The rank map read one key at a time: a key in its file-order place
+    costs one string comparison, any other is split and parsed, and each
+    value is checked where it stands, so the first bad key or value in the
+    map is the one refused."""
+    order = _file_order(ground)
+    expected = zip(order.keys, order.masks)
+    parsed = {}
+    texts: list[str | None] = [None] * (1 << ground.n)
+    for key, text in rank.items():
+        expected_key, mask = next(expected, (None, None))
+        if mask is None or key != expected_key:
+            # out of file order, not canonical, or past the last subset
+            mask = parse_subset_key(ground, key)
+        if texts[mask] is not None:
+            raise FileFormatError(f"subset key {key!r} repeats an earlier subset")
+        try:
+            if text not in parsed:
+                parsed[text] = parse_rational(text)
+        except TypeError:  # unhashable, so not a string: parse_rational refuses it
+            parse_rational(text)
+        texts[mask] = text
+    # no subset is filled twice, so fewer keys than subsets leaves a hole
+    if len(rank) < len(texts):
+        order = _file_order(ground)
+        key = next(key for key, m in zip(order.keys, order.masks) if texts[m] is None)
+        raise FileFormatError(f"missing subset {key!r}")
+    return _from_texts(ground, parsed, texts)
+
+
 def lattice_to_doc(lattice: RankedLattice) -> dict:
-    for label in lattice.ground.names:
-        if "," in label:
-            raise FileFormatError(f"label {label!r} contains a comma; not serializable")
+    _refuse_commas(lattice.ground)
     ground = lattice.ground
     return {
         "ground": list(ground.names),
@@ -263,7 +368,7 @@ def read_polymatroid(path) -> SetFunction:
 
 
 def write_polymatroid(f: SetFunction, path) -> None:
-    Path(path).write_text(dumps_canonical(polymatroid_to_doc(f)), encoding="utf-8")
+    Path(path).write_text(polymatroid_text(f), encoding="utf-8")
 
 
 def read_lattice(path) -> RankedLattice:

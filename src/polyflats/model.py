@@ -14,10 +14,11 @@ and they do so on Python ints where they can.  ``_common_denominator`` writes
 a table as ints over one denominator d, the lcm of its denominators.
 Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change.  A
-``SetFunction`` works out that pair once and keeps it; the rank-file reader
-and the convolutions hand theirs over when they build one, and the
-``Fraction`` view ``values`` is built from the ints only when it is asked
-for, one ``Fraction`` per distinct value.
+``SetFunction`` works out that pair once and keeps it; the rank-file reader,
+the convolutions, ``infiltrate`` and the uniform and graphic generators
+hand theirs over when they build one, and the ``Fraction`` view ``values``
+is built from the ints only when it is asked for, one ``Fraction`` per
+distinct value.
 
 Each 2^n kernel pairs every subset A with A + i, one element i at a time,
 on the subset-cube layout of Yates's method and of the zeta transforms in
@@ -235,9 +236,10 @@ def _gains(v: list, step: int) -> list:
 
 _TYPECODE = {8 * array(code).itemsize: code for code in "QLIHB"}
 
-# A layout keeps its guard masks while each takes at most this many bits
-# (n = 15 at W = 8), and rebuilds larger ones on each use: all n of them at
-# n = 20 would take n MB at W = 8 and 8n MB at W = 64.
+# A layout is kept, with its guard masks, while each mask takes at most
+# this many bits (n = 15 at W = 8); larger ones are built on each use, as
+# all n guard masks at n = 20 would take n MB at W = 8 and 8n MB at W = 64.
+# The kept layouts of every n and W together take under 5 MB.
 _KEPT_MASK_BITS = 1 << 18
 
 
@@ -246,38 +248,45 @@ class _Fields:
     the entry at bits m·W to m·W + W - 1 of one int.
 
     Entries lie in [0, 2^(W-2)); bit W - 1 of a field is its guard bit.
-    ``guard`` has every guard bit set, ``low`` the W - 1 bits below each.
+    ``ones`` has a 1 in every field, ``guard`` every guard bit set and
+    ``low`` the W - 1 bits below each.
     """
 
-    __slots__ = ("n", "width", "guard", "low", "_kept")
+    __slots__ = ("n", "width", "ones", "guard", "low", "_kept")
 
     def __init__(self, n: int, width: int):
         self.n, self.width = n, width
-        self.guard = self.fill(1 << (width - 1))
-        self.low = self.guard - (self.guard >> (width - 1))
+        self.ones = self._repeat((1).to_bytes(width // 8, "little"))
+        self.guard = self.ones << (width - 1)
+        self.low = self.guard - self.ones
         # the exchange passes ask for each guards(j) up to n - 1 times
         self._kept = [None] * n if width << n <= _KEPT_MASK_BITS else None
 
-    def fill(self, value: int, without: int | None = None) -> int:
-        """``value`` in every field, or only in those of the masks without
-        bit ``without``.  Built by doubling a period of the pattern, since
+    def _repeat(self, period: bytes) -> int:
+        """The table whose bytes repeat ``period``.  Built by doubling, since
         building it by int division would take quadratic time."""
-        field = value.to_bytes(self.width // 8, "little")
-        if without is not None:
-            field = field * (1 << without) + bytes(len(field) << without)
-        table, length = int.from_bytes(field, "little"), 8 * len(field)
+        table, length = int.from_bytes(period, "little"), 8 * len(period)
         while length < self.width << self.n:
             table |= table << length
             length *= 2
         return table
 
+    def fill(self, value: int, without: int | None = None) -> int:
+        """``value`` (below 2^W) in every field, or only in those of the
+        masks without bit ``without``."""
+        if without is None:
+            return self.ones * value
+        return (self.guards(without) >> (self.width - 1)) * value
+
     def guards(self, without: int) -> int:
         """The guard bits of the masks without bit ``without``."""
-        if self._kept is None:
-            return self.fill(1 << (self.width - 1), without)
-        if self._kept[without] is None:
-            self._kept[without] = self.fill(1 << (self.width - 1), without)
-        return self._kept[without]
+        if self._kept is not None and self._kept[without] is not None:
+            return self._kept[without]
+        field = (1 << (self.width - 1)).to_bytes(self.width // 8, "little")
+        guards = self._repeat(field * (1 << without) + bytes(len(field) << without))
+        if self._kept is not None:
+            self._kept[without] = guards
+        return guards
 
     def equal(self, x: int, y: int, at: int) -> int:
         """The guard bits in ``at`` of the fields where x = y: x + 2^(W-1) - y
@@ -307,14 +316,23 @@ class _Fields:
         return list(compress(range(1 << self.n), flags[:: self.width // 8]))
 
 
+_layouts: dict[tuple[int, int], _Fields] = {}
+
+
 def _packing(n: int, span: int) -> _Fields | None:
     """The packed layout for a table whose entries and the sums a kernel
     forms lie within ``span`` of its least entry: the narrowest field of 8,
     16, 32 or 64 bits that holds ``span`` with a bias bit and a guard bit
-    above it, or None past 62 bits, where the kernels keep slice passes."""
+    above it, or None past 62 bits, where the kernels keep slice passes.
+    Layouts within ``_KEPT_MASK_BITS`` are built once."""
     for width in (8, 16, 32, 64):
         if span.bit_length() + 2 <= width:
-            return _Fields(n, width)
+            fields = _layouts.get((n, width))
+            if fields is None:
+                fields = _Fields(n, width)
+                if fields._kept is not None:
+                    _layouts[n, width] = fields
+            return fields
     return None
 
 

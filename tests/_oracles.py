@@ -22,6 +22,7 @@ from polyflats import (
     convolve,
     is_cyclic_flat,
 )
+from polyflats.constructions import _split
 from polyflats.files import (
     FileFormatError,
     _ground_from_doc,
@@ -331,6 +332,20 @@ def polymatroid_from_doc_reference(doc) -> SetFunction:
     if missing:
         labels, _ = _ordered(ground, missing)[0]
         raise FileFormatError(f"missing subset {','.join(labels)!r}")
+    return SetFunction(ground, values)
+
+
+def infiltrate_reference(spec) -> SetFunction:
+    """The infiltrated table, one subset at a time on the ``Fraction``
+    values: each result mask split into its host and guest parts."""
+    ground = spec.result_ground()
+    pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
+    values = []
+    for a in ground.subsets():
+        host_mask, guest_mask = _split(a, pivot, m)
+        direct = spec.host.values[host_mask] + spec.guest.values[guest_mask]
+        swallow = spec.host.values[host_mask | 1 << pivot]
+        values.append(min(direct, swallow))
     return SetFunction(ground, values)
 
 

@@ -23,7 +23,9 @@ from polyflats import (
     random_polymatroid,
     uniform_matroid,
 )
+from polyflats.model import _common_denominator
 
+import _oracles
 import corpus
 
 
@@ -68,6 +70,17 @@ def test_graphic_matroid_parallel_and_loops():
     empty = graphic_matroid(3, [])
     assert empty.ground.n == 0
     assert empty.values == (0,)
+
+
+def test_generators_hold_the_ints_their_values_give():
+    for f in (
+        uniform_matroid(0, 0),
+        uniform_matroid(3, 5),
+        graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (3, 3), (0, 1)]),
+    ):
+        assert f._scaled() == _common_denominator(f.values)
+        assert f == SetFunction(f.ground, f.values)
+        assert all(type(v) is Fraction for v in f.values)
 
 
 def test_graphic_matroid_bad_parameters():
@@ -260,6 +273,53 @@ def test_infiltrate_zero_pivot_with_empty_guest():
     assert r.ground.names == ("m",)
     assert r.values == (0, 1)
     assert infiltrate_via_lattices(spec) == r
+
+
+def test_infiltrate_matches_the_reference_loop(infiltration_pairs):
+    for spec in infiltration_pairs:
+        r = infiltrate(spec)
+        expected = _oracles.infiltrate_reference(spec)
+        assert r == expected
+        # the held pair is exactly the one the values would give
+        assert r._scaled() == _common_denominator(expected.values)
+
+
+def _scaled_guest(base: SetFunction, total, labels) -> SetFunction:
+    return corpus.relabel(corpus.scale_function(base, total / base.values[base.ground.full]), labels)
+
+
+def test_infiltrate_brings_host_and_guest_to_their_lcm():
+    host = corpus.rational_sum_table(5, 4)
+    pivot = next(name for name in host.ground.names if host(host.ground.singleton(name)) > 0)
+    total = host(host.ground.singleton(pivot))
+    guest = _scaled_guest(corpus.small_denominator_table(3), total, ("p", "q", "r"))
+    spec = InfiltrationSpec(host, pivot, guest)
+    assert host._scaled()[0] != guest._scaled()[0]
+    r = infiltrate(spec)
+    expected = _oracles.infiltrate_reference(spec)
+    assert r == expected
+    assert r._scaled() == _common_denominator(expected.values)
+    assert infiltrate_via_lattices(spec) == r
+
+
+@pytest.mark.parametrize("wide", ["host", "guest"])
+def test_infiltrate_past_the_lcm_bound_runs_on_fractions(wide):
+    coprime = corpus.coprime_denominator_table(7)
+    assert corpus.kernel_path(coprime) == "fractions"
+    if wide == "host":
+        host, pivot = coprime, "e0"
+        guest = _scaled_guest(corpus.small_denominator_table(3), coprime(1), ("p", "q", "r"))
+    else:
+        guest = corpus.relabel(coprime, tuple(f"g{i}" for i in range(7)))
+        host = corpus.scale_function(
+            table("mc", [0, 1, 1, 2]), guest.values[guest.ground.full]
+        )
+        pivot = "c"
+    spec = InfiltrationSpec(host, pivot, guest)
+    r = infiltrate(spec)
+    assert r == _oracles.infiltrate_reference(spec)
+    if wide == "host":
+        assert infiltrate_via_lattices(spec) == r
 
 
 def test_infiltrate_via_lattices_needs_pointed_guest():

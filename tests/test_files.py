@@ -1,5 +1,6 @@
 """JSON document shapes, canonical ordering, and DOT output."""
 
+import json
 import random
 import re
 import sys
@@ -18,9 +19,14 @@ from polyflats import (
 )
 from polyflats.files import (
     FileFormatError,
+    _KEPT_ORDER_BITS,
+    _KEPT_ORDERS,
     _file_order,
+    _from_rank_items,
+    _ground_from_doc,
     _load,
     _ordered,
+    _orders,
     dumps_canonical,
     expansion_to_doc,
     format_rational,
@@ -32,6 +38,7 @@ from polyflats.files import (
     parse_rational,
     parse_subset_key,
     polymatroid_from_doc,
+    polymatroid_text,
     polymatroid_to_doc,
     read_lattice,
     read_polymatroid,
@@ -136,8 +143,10 @@ def test_polymatroid_doc_errors():
 
 
 # Labels that sort awkwardly: "!" before ",", "10" before "9", "a" before
-# "a1", and non-ASCII, quote, backslash and space characters
-AWKWARD_LABELS = ("!", "10", "9", "a", "a1", "\u00e9", '"', "\\q", "x y", "b", "Z", "e2", "e10")
+# "a1", and non-ASCII, quote, backslash, space and control characters
+AWKWARD_LABELS = (
+    "!", "10", "9", "a", "a1", "\u00e9", '"', "\\q", "x y", "b", "Z", "e2", "e10", "\t", "\n", "\x01",
+)
 
 
 def awkward_tables(count: int = 320):
@@ -154,14 +163,22 @@ def awkward_tables(count: int = 320):
 
 
 def test_writer_matches_the_reference_codec(all_functions):
+    sizes = set()
     for f in (*all_functions, *awkward_tables()):
         doc = polymatroid_to_doc(f)
         expected = _oracles.polymatroid_to_doc_reference(f)
         assert doc == expected
         assert list(doc["rank"]) == list(expected["rank"])
+        assert polymatroid_text(f) == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
         g = f.ground
-        assert [m for _, m in _file_order(g)] == [m for _, m in _ordered(g, g.subsets())]
+        order = _file_order(g)
+        ordered = _ordered(g, g.subsets())
+        assert order.masks == [m for _, m in ordered]
+        assert order.keys == [",".join(labels) for labels, _ in ordered]
+        assert order.quoted == [json.dumps(key, ensure_ascii=False)[1:-1] for key in order.keys]
         assert polymatroid_from_doc(doc) == f
+        sizes.add(g.n)
+    assert sizes >= set(range(9))
 
 
 def _outcome(read, doc):
@@ -214,6 +231,78 @@ def test_reader_matches_the_reference_codec_on_mutated_documents():
             )
             compared += 1
     assert compared > 2000
+
+
+def _slow_read(doc):
+    """The reader's loop over the keys one at a time, which the fast path
+    leaves to documents out of file order or with a bad value."""
+    return _from_rank_items(_ground_from_doc(doc), doc["rank"])
+
+
+def _bad_values(doc):
+    """Copies of a rank document in file order with one or two bad values,
+    at its first key, its last one or both."""
+    items = list(doc["rank"].items())
+    last = len(items) - 1
+    for bad in ("1.5", "x", "1/0", "9" * 5000, 3, None, True, [1], {"p": 1}):
+        for at in {0, last}:
+            changed = items[:]
+            changed[at] = (items[at][0], bad)
+            yield {"ground": doc["ground"], "rank": dict(changed)}
+        if last:
+            changed = items[:]
+            changed[0], changed[last] = (items[0][0], bad), (items[last][0], "2/0")
+            yield {"ground": doc["ground"], "rank": dict(changed)}
+
+
+def test_fast_and_slow_reader_paths_agree():
+    compared = refused = 0
+    for f in awkward_tables(90):
+        doc = polymatroid_to_doc(f)
+        fast, slow = polymatroid_from_doc(doc), _slow_read(doc)
+        assert fast == slow == f
+        assert fast._scaled() == slow._scaled()
+        for bad in _bad_values(doc):
+            assert list(bad["rank"]) == _file_order(f.ground).keys
+            outcome = _outcome(polymatroid_from_doc, bad)
+            assert outcome == _outcome(_slow_read, bad)
+            assert outcome == _outcome(_oracles.polymatroid_from_doc_reference, bad)
+            assert outcome[0] is FileFormatError
+            compared += 1
+            refused += "'2/0'" in outcome[1]
+    # a bad first value is named before a bad last one
+    assert compared > 1500 and refused == 0
+
+
+def test_codec_past_the_kept_orders():
+    # a ground too large for the memo runs on fresh iterators
+    rng = random.Random(13)
+    ground = GroundSet(tuple(rng.sample(AWKWARD_LABELS, _KEPT_ORDER_BITS + 1)))
+    f = SetFunction(ground, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in ground.subsets()])
+    expected = _oracles.polymatroid_to_doc_reference(f)
+    assert polymatroid_to_doc(f) == expected
+    assert polymatroid_text(f) == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+    assert polymatroid_from_doc(expected) == _slow_read(expected) == f
+    last = list(expected["rank"])[-1]
+    bad = {"ground": expected["ground"], "rank": {**expected["rank"], last: "1/0"}}
+    assert _outcome(polymatroid_from_doc, bad) == _outcome(_slow_read, bad)
+
+
+def test_file_order_memo_keeps_only_small_grounds():
+    small = GroundSet(tuple(f"s{i}" for i in range(_KEPT_ORDER_BITS)))
+    large = GroundSet(tuple(f"l{i}" for i in range(_KEPT_ORDER_BITS + 1)))
+    assert _file_order(small) is _file_order(small)
+    assert small.names in _orders
+    order = _file_order(large)
+    assert sum(1 for _ in order.keys) == 1 << (_KEPT_ORDER_BITS + 1)
+    assert large.names not in _orders
+    assert list(_file_order(large).masks) == [m for _, m in _ordered(large, large.subsets())]
+    for n in range(2 * _KEPT_ORDERS):
+        _file_order(GroundSet(tuple(f"m{i}" for i in range(n))))
+        # used again after each other ground, so never the one evicted
+        assert _file_order(small).keys[-1] == ",".join(sorted(small.names))
+    assert len(_orders) == _KEPT_ORDERS
+    assert small.names in _orders
 
 
 def test_rank_file_round_trip_at_n16(tmp_path):

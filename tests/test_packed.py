@@ -75,6 +75,35 @@ def test_width_rule(span, width):
     assert corpus.kernel_path(f) == (f"packed{width}" if width else "slices")
 
 
+def _by_fields(fields, value_of) -> int:
+    """The packed table whose field at mask m holds ``value_of(m)``."""
+    w = fields.width // 8
+    return int.from_bytes(
+        b"".join(value_of(m).to_bytes(w, "little") for m in range(1 << fields.n)), "little"
+    )
+
+
+def test_layouts_are_built_once_within_the_kept_bound():
+    for n, span in ((0, 1), (3, 1), (15, 1), (12, 2**40)):
+        assert _packing(n, span) is _packing(n, span)
+    # 2^16 fields of 8 bits pass the kept bound of 2^18 bits
+    assert _packing(16, 1) is not _packing(16, 1)
+    for n, span, values in (
+        (3, 1, (0, 1, 61, 255)),
+        (3, 2**10, (0, 1, 2**15 - 3, 2**16 - 1)),
+        (3, 2**20, (0, 1, 2**31 - 3, 2**32 - 1)),
+        (4, 2**40, (0, 1, 2**63 - 3, 2**64 - 1)),
+        (16, 1, (5,)),
+    ):
+        fields = _packing(n, span)
+        for value in values:
+            assert fields.fill(value) == _by_fields(fields, lambda m: value)
+            for i in (0, n - 1):
+                assert fields.fill(value, i) == _by_fields(fields, lambda m: 0 if m >> i & 1 else value)
+        for i in range(n):
+            assert fields.guards(i) == fields.fill(1 << (fields.width - 1), i)
+
+
 @pytest.mark.parametrize("span, width", WIDTH_STEPS)
 def test_kernels_on_both_sides_of_each_width_step(span, width):
     rng = random.Random(span)
