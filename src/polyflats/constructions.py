@@ -30,7 +30,6 @@ from .model import (
     GroundSet,
     Measure,
     SetFunction,
-    _lowest_terms,
     bits,
     submasks,
 )
@@ -258,8 +257,8 @@ class InfiltrationSpec:
             raise ValueError("host fails the polymatroid axioms")
         if not check_polymatroid(self.guest).is_polymatroid:
             raise ValueError("guest fails the polymatroid axioms")
-        pivot_rank = self.host.values[self.host.ground.singleton(self.pivot)]
-        total = self.guest.values[self.guest.ground.full]
+        pivot_rank = self.host(self.host.ground.singleton(self.pivot))
+        total = self.guest(self.guest.ground.full)
         if pivot_rank != total:
             raise RankMismatch(
                 f"host rank of {self.pivot!r} is {pivot_rank}, guest total rank is {total}"
@@ -313,9 +312,7 @@ def infiltrate(spec: InfiltrationSpec) -> SetFunction:
     values = list(
         chain.from_iterable(map(min, map(add, without, repeat(g)), with_) for g in guest)
     )
-    if d is None:
-        return SetFunction(ground, values)
-    return SetFunction._from_scaled(ground, *_lowest_terms(d, values))
+    return SetFunction._from_scaled(ground, d, values)
 
 
 def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:

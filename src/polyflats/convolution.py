@@ -58,7 +58,6 @@ from .model import (
     SetFunction,
     _common_denominator,
     _halves,
-    _lowest_terms,
     _pack,
     _unpack,
     bits,
@@ -67,27 +66,31 @@ from .model import (
 from .polymatroid import check_polymatroid, cyclic_flats
 
 
-def _superset_min(h: list[int]) -> None:
-    """In place: h[A] becomes the least h[B] over the supersets B of A."""
-    size, step = len(h), 1
-    while step < size:
-        for lo, hi in _halves(size, step):
+def _least_covers(d: int | None, h: list, weights: list = ()) -> list:
+    """The superset-min transform of ``h``, the table seeded with the rank
+    of what covers each mask, then the recurrence for each ``weights[i]``
+    in turn: after element i, h[A] is the best cover of A that may leave
+    out elements up to i at their weight.  Packed when the span of ``h``,
+    plus the largest weight, fits ``_packing``'s fields; else slice passes,
+    in place."""
+    packed = _pack(d, h, max(weights, default=0))
+    if packed:
+        fields, table, low = packed
+        for i in range(fields.n):
+            table ^= fields.lower(table, table >> (fields.width << i), fields.guards(i))
+        for i, w in enumerate(weights):
+            step = fields.width << i
+            up = table >> step
+            table ^= fields.lower(up, table + fields.fill(w), fields.guards(i)) << step
+        return _unpack(fields, table, low)
+    size = len(h)
+    for i in range(size.bit_length() - 1):
+        for lo, hi in _halves(size, 1 << i):
             h[lo] = map(min, h[lo], h[hi])
-        step *= 2
-
-
-def _packed_superset_min(fields, table: int) -> int:
-    """``_superset_min`` on a packed table."""
-    for i in range(fields.n):
-        table ^= fields.lower(table, table >> (fields.width << i), fields.guards(i))
-    return table
-
-
-def _result(ground: GroundSet, d: int | None, h: list) -> SetFunction:
-    """The table of the values ``h`` stands for over d, holding its own
-    ``_common_denominator`` pair."""
-    held = _common_denominator(h) if d is None else _lowest_terms(d, h)
-    return SetFunction._from_scaled(ground, *held)
+    for i, w in enumerate(weights):
+        for lo, hi in _halves(size, 1 << i):
+            h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
+    return h
 
 
 def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
@@ -102,23 +105,7 @@ def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:
     h = [ranks[0] + sum(weights)] * (1 << lattice.ground.n)
     for z, rank in zip(lattice.members, ranks):
         h[z] = rank
-    packed = _pack(d, h, max(weights, default=0))
-    if packed:
-        fields, table, low = packed
-        table = _packed_superset_min(fields, table)
-        # The recurrence one element at a time: after element i, h[A] is the
-        # best cover of A that may leave out elements up to i at their measure.
-        for i, w in enumerate(weights):
-            step = fields.width << i
-            up = table >> step
-            table ^= fields.lower(up, table + fields.fill(w), fields.guards(i)) << step
-        h = _unpack(fields, table, low)
-    else:
-        _superset_min(h)
-        for i, w in enumerate(weights):
-            for lo, hi in _halves(len(h), 1 << i):
-                h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
-    return _result(lattice.ground, d, h)
+    return SetFunction._from_scaled(lattice.ground, d, _least_covers(d, h, weights))
 
 
 def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunction:
@@ -147,13 +134,7 @@ def convolve_lattices(first: RankedLattice, second: RankedLattice) -> SetFunctio
         for u2, r2 in twos:
             if r1 + r2 < h[u1 | u2]:
                 h[u1 | u2] = r1 + r2
-    packed = _pack(d, h)
-    if packed:
-        fields, table, low = packed
-        h = _unpack(fields, _packed_superset_min(fields, table), low)
-    else:
-        _superset_min(h)
-    return _result(ground, d, h)
+    return SetFunction._from_scaled(ground, d, _least_covers(d, h))
 
 
 @dataclass(frozen=True)

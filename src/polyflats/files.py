@@ -17,10 +17,10 @@ order straight from ``itertools.combinations`` over the labels in sorted
 order, which yields each cardinality's subsets in the order of their sorted
 label tuples; grounds of up to 2^12 subsets keep these lists, larger ones
 get fresh iterators, as the lists would take over 100 MB at n = 20.  The
-writer, ``polymatroid_text``, formats each distinct value of the table's
-kept ints once and emits the rank lines as one ``str.join`` of the
-JSON-quoted keys and those texts, byte-identical to ``dumps_canonical`` of
-``polymatroid_to_doc``.  The reader takes a map whose keys are exactly the
+writer, ``polymatroid_text``, formats each distinct value the table holds
+once and emits the rank lines as one ``str.join`` of the JSON-quoted keys
+and those texts, byte-identical to ``dumps_canonical`` of the document;
+``polymatroid_to_doc`` is that text parsed back.  The reader takes a map whose keys are exactly the
 file order, and whose distinct values all parse, by moving the values to
 their masks in one loop and scaling each distinct one once to the
 common-denominator int that the table keeps for the kernels.  Any other map
@@ -39,7 +39,7 @@ from itertools import chain, combinations
 from json.encoder import encode_basestring
 from operator import add, eq
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .constructions import ExpansionMap
 from .lattice import RankedLattice, validate_lattice
@@ -163,38 +163,24 @@ def _refuse_commas(ground: GroundSet) -> None:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
 
 
-def _formatted(f: SetFunction, template: str = "{}") -> tuple[list, Callable]:
-    """The kept values of ``f`` in mask order, and the text of each put in
-    ``template``: every distinct value is formatted once."""
-    d, scaled = f._scaled()
-    if d is None:
-        text = {x: template.format(format_rational(x)) for x in set(scaled)}
-    else:
-        text = {x: template.format(format_rational(Fraction(x, d))) for x in set(scaled)}
-    return scaled, text.__getitem__
-
-
 def polymatroid_to_doc(f: SetFunction) -> dict:
-    _refuse_commas(f.ground)
-    scaled, text = _formatted(f)
-    order = _file_order(f.ground)
-    return {
-        "ground": list(f.ground.names),
-        "rank": dict(zip(order.keys, map(text, map(scaled.__getitem__, order.masks)))),
-    }
+    return json.loads(polymatroid_text(f))
 
 
 def polymatroid_text(f: SetFunction) -> str:
-    """``dumps_canonical(polymatroid_to_doc(f))``, without the document: the
-    rank lines are one join, in C, of each quoted key and its value's text,
-    the quote that opens a key ending the text before it."""
+    """The rank file of ``f``, as ``dumps_canonical`` writes its document:
+    each distinct held value is formatted once, and the rank lines are one
+    join, in C, of each quoted key and its value's text, the quote that
+    opens a key ending the text before it."""
     _refuse_commas(f.ground)
-    scaled, text = _formatted(f, '": "{}"')
+    d, scaled = f._scaled()
+    value = {x: x if d is None else Fraction(x, d) for x in set(scaled)}
+    text = {x: f'": "{format_rational(q)}"' for x, q in value.items()}
     order = _file_order(f.ground)
     names = ",\n".join("    " + encode_basestring(name) for name in f.ground.names)
     head = '{\n  "ground": [' + (f"\n{names}\n  " if names else "") + '],\n  "rank": {\n    "'
-    rank = ',\n    "'.join(map(add, order.quoted, map(text, map(scaled.__getitem__, order.masks))))
-    return head + rank + "\n  }\n}\n"
+    values = map(text.__getitem__, map(scaled.__getitem__, order.masks))
+    return head + ',\n    "'.join(map(add, order.quoted, values)) + "\n  }\n}\n"
 
 
 def _from_texts(ground: GroundSet, parsed: dict, texts: list) -> SetFunction:

@@ -10,15 +10,20 @@ everywhere.
 
 The 2^n kernels (the axiom scan, flats, cyclic-flat extraction and both
 convolutions) and the lattice condition check only compare and add values,
-and they do so on Python ints where they can.  ``_common_denominator`` writes
-a table as ints over one denominator d, the lcm of its denominators.
+and they do so on Python ints where they can.  ``_common_denominator``
+writes a table as ints over one denominator d, the lcm of its denominators.
 Multiplying every value by the same positive d keeps every comparison
-between sums of values, so verdicts and first witnesses do not change.  A
-``SetFunction`` works out that pair once and keeps it; the rank-file reader,
-the convolutions, ``infiltrate`` and the uniform and graphic generators
-hand theirs over when they build one, and the ``Fraction`` view ``values``
-is built from the ints only when it is asked for, one ``Fraction`` per
-distinct value.
+between sums of values, so verdicts and first witnesses do not change.  The
+pair (d, ints), or the ``Fraction`` values past the bound below, is the one
+form a ``SetFunction`` holds.  ``SetFunction(ground, values)`` works it out
+from the values; ``SetFunction._from_scaled`` takes ints over any d, or
+exact values with d None (the rank-file reader, the convolutions,
+``infiltrate`` and the uniform and graphic generators hand theirs over), and
+is the one place that reduces them to lowest terms with ``_lowest_terms`` or
+falls back to the ``Fraction`` values.  Equal tables therefore hold equal
+pairs, so equality, hashing and ``is_integer_valued`` read the pair alone,
+and the ``Fraction`` view ``values`` is built from it only when it is asked
+for, one ``Fraction`` per distinct value.
 
 Each 2^n kernel pairs every subset A with A + i, one element i at a time,
 on the subset-cube layout of Yates's method and of the zeta transforms in
@@ -442,10 +447,11 @@ class GroundSet:
 class SetFunction:
     """Dense table of exact values, one per subset of a ground set.
 
-    Besides the ``Fraction`` view ``values`` a table keeps the pair
-    ``_common_denominator(values)`` that the kernels read: worked out on
-    first use, or handed over by ``_from_scaled``, in which case ``values``
-    is built from it on first use.
+    A table holds one form, the pair ``_common_denominator(values)``: ints
+    over the lcm d of its denominators, or the ``Fraction`` values when d
+    would be too long.  Both constructors bring what they are given to that
+    form, so equal tables hold equal pairs.  The ``Fraction`` view
+    ``values`` is built from the pair when it is asked for.
     """
 
     __slots__ = ("ground", "_values", "_held")
@@ -459,15 +465,15 @@ class SetFunction:
             )
         self.ground = ground
         self._values = table
-        self._held = None
+        self._held = _common_denominator(table)
 
     @classmethod
     def _from_scaled(cls, ground: GroundSet, d: int | None, scaled: list) -> "SetFunction":
-        """The table whose ``_common_denominator`` pair is exactly (d, scaled):
-        ints over the lcm d of its denominators, or the ``Fraction`` values
-        when d is None.  The caller vouches for the pair."""
+        """The table of the values ``scaled[m] / d``, or of the exact values
+        ``scaled`` when d is None, brought to its held pair."""
         f = cls.__new__(cls)
-        f.ground, f._values, f._held = ground, None, (d, scaled)
+        f.ground, f._values = ground, None
+        f._held = _common_denominator(scaled) if d is None else _lowest_terms(d, scaled)
         return f
 
     @property
@@ -482,9 +488,7 @@ class SetFunction:
         return self._values
 
     def _scaled(self) -> tuple[int | None, list]:
-        """The kept ``_common_denominator(values)``."""
-        if self._held is None:
-            self._held = _common_denominator(self._values)
+        """The held pair ``_common_denominator(values)``."""
         return self._held
 
     @classmethod
@@ -492,29 +496,24 @@ class SetFunction:
         return cls(ground, (fn(mask) for mask in ground.subsets()))
 
     def __call__(self, subset: int) -> Fraction:
-        mask = self.ground.check_mask(subset)
-        if self._values is not None:
-            return self._values[mask]
         d, scaled = self._held
-        return scaled[mask] if d is None else Fraction(scaled[mask], d)
+        value = scaled[self.ground.check_mask(subset)]
+        return value if d is None else Fraction(value, d)
 
     def singletons(self) -> tuple[Fraction, ...]:
         return tuple(self(1 << i) for i in range(self.ground.n))
 
     def is_integer_valued(self) -> bool:
-        return self._scaled()[0] == 1
+        return self._held[0] == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetFunction):
             return NotImplemented
-        if self.ground.names != other.ground.names:
-            return False
-        if self._held is not None and other._held is not None:
-            return self._held == other._held
-        return self.values == other.values
+        return (self.ground.names, self._held) == (other.ground.names, other._held)
 
     def __hash__(self) -> int:
-        return hash((self.ground.names, self.values))
+        d, scaled = self._held
+        return hash((self.ground.names, d, tuple(scaled)))
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.ground.n}, top={self(self.ground.full)})"

@@ -195,7 +195,12 @@ def loops(f: SetFunction) -> int:
 
 
 def coloops(f: SetFunction) -> int:
-    """Mask of elements whose removal from the full set costs their full rank."""
+    """Mask of elements whose removal from the full set costs their full rank.
+
+    This is the polymatroid reading, f(E) - f(E - i) = f(i).  A loop
+    (f(i) = 0) meets it as 0 = 0, so every loop is reported as a coloop
+    too, unlike in matroid usage, where a loop never is one.
+    """
     _, v = f._scaled()
     full = f.ground.full
     out = 0

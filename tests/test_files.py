@@ -10,10 +10,15 @@ import pytest
 
 from polyflats import (
     GroundSet,
+    InfiltrationSpec,
     Measure,
     NotALattice,
     SetFunction,
+    check_polymatroid,
+    convolve,
     cyclic_flats,
+    infiltrate,
+    reconstruction_failure,
     uniform_matroid,
     validate_lattice,
 )
@@ -365,6 +370,33 @@ def test_polymatroid_file_round_trip_is_byte_identical(tmp_path):
     write_polymatroid(read_polymatroid(first), second)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().endswith("\n")
+
+
+def test_tables_read_from_files_never_build_their_fraction_view(tmp_path, monkeypatch):
+    scaled = corpus.scale_function
+    host = scaled(uniform_matroid(2, 3), Fraction(1, 2))
+    guest = corpus.relabel(scaled(uniform_matroid(1, 2), Fraction(1, 2)), ("p", "q"))
+    tables = [*corpus.full_corpus()[::7], corpus.coprime_denominator_table(7), host, guest]
+    paths = []
+    for i, f in enumerate(tables):
+        paths.append(tmp_path / f"{i}.json")
+        write_polymatroid(f, paths[-1])
+    expected = [
+        (check_polymatroid(f), cyclic_flats(f), reconstruction_failure(f)) for f in tables
+    ]
+    infiltrated = infiltrate(InfiltrationSpec(host, "a", guest))
+
+    def refuse(self):
+        raise AssertionError("the Fraction view was built")
+
+    monkeypatch.setattr(SetFunction, "values", property(refuse))
+    read = [read_polymatroid(path) for path in paths]
+    for f, g, (report, flats, failure) in zip(tables, read, expected):
+        assert g == f and hash(g) == hash(f)
+        assert check_polymatroid(g) == report and cyclic_flats(g) == flats
+        assert convolve(*flats) == g and reconstruction_failure(g) == failure
+    spec = InfiltrationSpec(read[-2], "a", read[-1])
+    assert infiltrate(spec) == infiltrated
 
 
 def test_lattice_doc_round_trip(tmp_path):

@@ -18,6 +18,8 @@ from polyflats import (
 )
 from polyflats.model import _LCM_BITS_SLACK, _common_denominator, _halves
 
+import corpus
+
 
 def test_to_fraction_accepts_exact_inputs():
     assert to_fraction(3) == Fraction(3)
@@ -174,6 +176,32 @@ def test_set_function_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+
+
+def test_scaled_tables_are_brought_to_lowest_terms():
+    g = GroundSet(("x", "y"))
+    f = SetFunction._from_scaled(g, 6, [0, 3, 3, 6])
+    expected = SetFunction(g, [0, Fraction(1, 2), Fraction(1, 2), 1])
+    assert f == expected and hash(f) == hash(expected)
+    assert f._scaled() == expected._scaled() == (2, [0, 1, 1, 2])
+    assert not f.is_integer_valued()
+    whole = SetFunction._from_scaled(g, 2, [0, 2, 2, 4])
+    assert whole.is_integer_valued() and whole._scaled() == (1, [0, 1, 1, 2])
+    assert whole == SetFunction(g, [0, 1, 1, 2]) and whole(3) == 2 and type(whole(3)) is Fraction
+
+
+def test_exact_values_handed_over_take_the_held_form_on_both_sides_of_the_bound():
+    # coprime prime denominators: ints up to n = 6, Fractions from n = 7 on
+    for n in (5, 6, 7, 8):
+        built = corpus.coprime_denominator_table(n)
+        handed = SetFunction._from_scaled(built.ground, None, list(built.values))
+        assert (handed._scaled()[0] is None) == (n >= 7)
+        assert handed == built and hash(handed) == hash(built)
+        assert handed._scaled() == built._scaled() == _common_denominator(built.values)
+        # exact values whose lcm is small come back as ints
+        halved = [Fraction(int(v), 2) for v in built.values]
+        small = SetFunction._from_scaled(built.ground, None, halved)
+        assert small._scaled()[0] == 2 and small == SetFunction(built.ground, halved)
 
 
 def test_measure_table_matches_singleton_sums():
