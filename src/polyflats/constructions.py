@@ -15,13 +15,12 @@ corpus and the CLI.  The two constructions are the interesting part:
 
 from __future__ import annotations
 
-import math
 import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, mul
+from operator import add
 
 from .convolution import convolve, convolve_lattices
 from .lattice import RankedLattice
@@ -30,6 +29,7 @@ from .model import (
     GroundSet,
     Measure,
     SetFunction,
+    _merged,
     bits,
     submasks,
 )
@@ -203,17 +203,12 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     if not report.integer_valued:
         raise NotInteger("block expansion needs an integer-valued polymatroid")
 
-    names = []
-    blocks = []
-    position = 0
+    names, blocks, position = [], [], 0
     for i, name in enumerate(f.ground.names):
-        width = max(1, int(f.values[1 << i]))
-        block = 0
-        for copy in range(1, width + 1):
-            names.append(f"{name}#{copy}")
-            block |= 1 << position
-            position += 1
-        blocks.append(block)
+        width = max(1, int(f(1 << i)))
+        names += [f"{name}#{copy}" for copy in range(1, width + 1)]
+        blocks.append(((1 << width) - 1) << position)
+        position += width
     expanded = GroundSet(tuple(names))
     emap = ExpansionMap(f.ground, expanded, tuple(blocks))
 
@@ -297,15 +292,7 @@ def infiltrate(spec: InfiltrationSpec) -> SetFunction:
     """
     ground = spec.result_ground()
     bit = spec.host.ground.singleton(spec.pivot)
-    (dh, host), (dg, guest) = spec.host._scaled(), spec.guest._scaled()
-    if dh is None or dg is None:
-        d, host, guest = None, spec.host.values, spec.guest.values
-    else:
-        d = math.lcm(dh, dg)
-        if d != dh:
-            host = list(map(mul, host, repeat(d // dh)))
-        if d != dg:
-            guest = map(mul, guest, repeat(d // dg))
+    d, (host, guest) = _merged(spec.host._held, spec.guest._held)
     without_pivot = [1] * bit + [0] * bit
     without = list(compress(host, cycle(without_pivot)))
     with_ = list(compress(islice(host, bit, None), cycle(without_pivot)))

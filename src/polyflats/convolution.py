@@ -27,16 +27,10 @@ element at a time, it is again n passes, each lowering r(A + i) to
 r(A) + mu(i) where that is less.
 
 Both transforms run on ints over the common denominator of the ranks and
-the measure, so the result is exact.  Where the span of the seeded table,
-plus the largest mu(i) for the recurrence, fits ``model._packing``'s
-fields, a pass is a min of two packed tables (``model._Fields.lower``): the
-table and itself shifted by one element, the guard mask of the fields
-where the second is less spread over those fields to pick them.  Wider
-tables keep slice passes, where the slices of ``model._halves`` line the
-pairs up so one ``map(min, ...)`` does a pass; so do the ``Fraction``
-values when that denominator would be too long (see ``model``).  The
-result keeps its ints, over the lcm of its own denominators, which may be
-smaller than that of the ranks and the measure.
+the measure, so the result is exact: a pass is a min of the table and
+itself shifted by one element, on the packed table or as slice passes (see
+``model``).  The result keeps its ints, over the lcm of its own
+denominators, which may be smaller than that of the ranks and the measure.
 
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what

@@ -48,7 +48,8 @@ from .model import (
     GroundSet,
     Measure,
     SetFunction,
-    _lcm_or_none,
+    _exact,
+    _from_texts,
     format_rational,
 )
 
@@ -173,30 +174,13 @@ def polymatroid_text(f: SetFunction) -> str:
     join, in C, of each quoted key and its value's text, the quote that
     opens a key ending the text before it."""
     _refuse_commas(f.ground)
-    d, scaled = f._scaled()
-    value = {x: x if d is None else Fraction(x, d) for x in set(scaled)}
-    text = {x: f'": "{format_rational(q)}"' for x, q in value.items()}
+    d, scaled = f._held
+    text = {x: f'": "{format_rational(_exact(d, x))}"' for x in set(scaled)}
     order = _file_order(f.ground)
     names = ",\n".join("    " + encode_basestring(name) for name in f.ground.names)
     head = '{\n  "ground": [' + (f"\n{names}\n  " if names else "") + '],\n  "rank": {\n    "'
     values = map(text.__getitem__, map(scaled.__getitem__, order.masks))
     return head + ',\n    "'.join(map(add, order.quoted, values)) + "\n  }\n}\n"
-
-
-def _from_texts(ground: GroundSet, parsed: dict, texts: list) -> SetFunction:
-    """The table whose entry at mask m is ``parsed[texts[m]]``, each
-    distinct value scaled once to the ints the kernels read."""
-    length = {text: q.denominator.bit_length() for text, q in parsed.items()}
-    d = _lcm_or_none(
-        {q.denominator for q in parsed.values()},
-        lambda: sum(map(length.__getitem__, texts)),
-        len(texts),
-    )
-    if d is None:
-        scaled = parsed
-    else:
-        scaled = {text: q.numerator * (d // q.denominator) for text, q in parsed.items()}
-    return SetFunction._from_scaled(ground, d, list(map(scaled.__getitem__, texts)))
 
 
 def polymatroid_from_doc(doc) -> SetFunction:

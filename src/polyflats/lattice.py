@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import eq, ge, gt, le, lt
 from typing import Iterable, Iterator
 
@@ -39,6 +40,7 @@ from .model import (
     Measure,
     Rational,
     _common_denominator,
+    _exact,
     bits,
     format_rational,
     to_fraction,
@@ -173,6 +175,15 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
+def _incomparable_pairs(lattice: RankedLattice) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j of incomparable members, in index order: every
+    member containing Zi comes after it, and is in ``_above[i]``."""
+    k = len(lattice.members)
+    for i, above in enumerate(lattice._above):
+        for j in bits(((1 << k) - (2 << i)) & ~above):
+            yield i, j
+
+
 def validate_lattice(
     ground: GroundSet, elements: Iterable[tuple[int, Rational]]
 ) -> RankedLattice:
@@ -180,10 +191,12 @@ def validate_lattice(
 
     Each member must be a subset of ``ground``, appear once (else
     DuplicateElement) and carry a rank >= 0, and the family must not be
-    empty.  Then every pair i <= j in member order needs a greatest lower
+    empty.  Then every pair i < j in member order needs a greatest lower
     bound (the last common lower bound, if it contains all of them) and a
     least upper bound (the first common upper bound, if it lies inside all
     of them); NotALattice names the first offending pair and the reason.
+    Only incomparable pairs are visited, since a nested pair has its lower
+    member as meet and its upper member as join.
     """
     raw: dict[int, Fraction] = {}
     for mask, rank in elements:
@@ -201,12 +214,11 @@ def validate_lattice(
 
     lattice = RankedLattice(ground, raw.items())
     members = lattice.members
-    for i in range(len(members)):
-        for j in range(i, len(members)):
-            if lattice._meet(i, j) is None:
-                raise NotALattice(ground, members[i], members[j], "no unique lower bound")
-            if lattice._join(i, j) is None:
-                raise NotALattice(ground, members[i], members[j], "no unique upper bound")
+    for i, j in _incomparable_pairs(lattice):
+        if lattice._meet(i, j) is None:
+            raise NotALattice(ground, members[i], members[j], "no unique lower bound")
+        if lattice._join(i, j) is None:
+            raise NotALattice(ground, members[i], members[j], "no unique upper bound")
     return lattice
 
 
@@ -336,17 +348,15 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
 
 
 def _incomparable(lattice: RankedLattice, ranks, masses):
-    """The C3 inequality for each incomparable pair j > i, in index order."""
+    """The C3 inequality for each incomparable pair, in index order."""
     members = lattice.members
-    k = len(members)
-    for i, z1 in enumerate(members):
-        for j in bits(((1 << k) - (2 << i)) & ~lattice._above[i]):
-            z2 = members[j]
-            meet, join = lattice._meet(i, j), lattice._join(i, j)
-            correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
-            yield (
-                (z1, z2), ranks[i] + ranks[j], ">=", ranks[join] + ranks[meet] + correction, None
-            )
+    for i, j in _incomparable_pairs(lattice):
+        z1, z2 = members[i], members[j]
+        meet, join = lattice._meet(i, j), lattice._join(i, j)
+        correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
+        yield (
+            (z1, z2), ranks[i] + ranks[j], ">=", ranks[join] + ranks[meet] + correction, None
+        )
 
 
 def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
@@ -364,7 +374,7 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     members, k = lattice.members, len(lattice.members)
     d, scaled = _common_denominator(lattice.ranks + mu.singleton)
     ranks, masses = scaled[:k], scaled[k:]
-    value = Fraction if d is None else lambda x: Fraction(x, d)
+    value = partial(_exact, d)
     weights = [sum(masses[a] for a in bits(z)) for z in members]
     outside = lattice.ground.full & ~members[0]
     return ConditionReport(

@@ -14,16 +14,19 @@ and they do so on Python ints where they can.  ``_common_denominator``
 writes a table as ints over one denominator d, the lcm of its denominators.
 Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change.  The
-pair (d, ints), or the ``Fraction`` values past the bound below, is the one
-form a ``SetFunction`` holds.  ``SetFunction(ground, values)`` works it out
-from the values; ``SetFunction._from_scaled`` takes ints over any d, or
-exact values with d None (the rank-file reader, the convolutions,
-``infiltrate`` and the uniform and graphic generators hand theirs over), and
-is the one place that reduces them to lowest terms with ``_lowest_terms`` or
+pair (d, ints), or d None and the ``Fraction`` values past the bound below,
+is the one form a ``SetFunction`` holds, and this module alone reads d: the
+others only pass it on, to ``_pack``, the convolution kernels and
+``SetFunction._from_scaled``.  ``SetFunction(ground, values)`` and the
+rank-file reader's ``_from_texts`` work the pair out from exact values;
+``_from_scaled`` takes ints over any d, or exact values with d None, and is
+the one place that reduces them to lowest terms with ``_lowest_terms`` or
 falls back to the ``Fraction`` values.  Equal tables therefore hold equal
-pairs, so equality, hashing and ``is_integer_valued`` read the pair alone,
-and the ``Fraction`` view ``values`` is built from it only when it is asked
-for, one ``Fraction`` per distinct value.
+pairs, so equality, hashing and ``is_integer_valued`` read the pair alone.
+``_exact`` turns a held entry back into its value, the ``Fraction`` view
+``values`` is built from the pair only when it is asked for, one
+``Fraction`` per distinct value, and ``_merged`` brings held tables onto
+one denominator.
 
 Each 2^n kernel pairs every subset A with A + i, one element i at a time,
 on the subset-cube layout of Yates's method and of the zeta transforms in
@@ -52,13 +55,8 @@ pairs as slices of the list, blocks for high bits and strides for low ones,
 so that one pass costs about sqrt(2^n) Python steps and ``map`` with
 ``operator`` functions does the rest in C, and ``_gains`` uses the same
 pairs to table v(A + i) - v(A).  ``array`` packs nothing wider than 64
-bits, and wide fields soon stop paying: on the ``rational_sum_table(12, 12)``
-of the tests scaled by 10^30 (104-bit values), the check, ``cyclic_flats``
-and ``convolve`` together took 18-27 ms packed in 112-bit fields through
-``int.to_bytes`` against 21-33 ms on slices, scaled by 10^148 (500-bit
-values) 116-126 ms against 22-26 ms, and ``coprime_denominator_table(9)``
-packed at its full lcm 75-106 ms against 32-47 ms on its ``Fraction``
-values (Python 3.11, a shared 2-vCPU host, three runs each).
+bits, and wider fields, packed through ``int.to_bytes``, were measured
+slower than slice passes.
 
 The int form pays only while the lcm of a table's denominators stays small,
 as it does when they are drawn from a few values.  Many pairwise coprime
@@ -75,7 +73,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import sub
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
 MAX_GROUND_SIZE = 20
@@ -184,6 +182,44 @@ def _lowest_terms(d: int, scaled: list[int]) -> tuple[int | None, list]:
             value = {x: Fraction(x, d) for x in distinct}
             return None, list(map(value.__getitem__, scaled))
     return d, scaled
+
+
+def _from_texts(ground: GroundSet, parsed: dict, texts: list) -> SetFunction:
+    """The table whose entry at mask m is ``parsed[texts[m]]``, each
+    distinct value scaled once to the ints it holds."""
+    length = {text: q.denominator.bit_length() for text, q in parsed.items()}
+    d = _lcm_or_none(
+        {q.denominator for q in parsed.values()},
+        lambda: sum(map(length.__getitem__, texts)),
+        len(texts),
+    )
+    if d is None:
+        scaled = parsed
+    else:
+        scaled = {text: q.numerator * (d // q.denominator) for text, q in parsed.items()}
+    return SetFunction._from_scaled(ground, d, list(map(scaled.__getitem__, texts)))
+
+
+def _exact(d: int | None, x) -> Fraction:
+    """The exact value that the held entry ``x`` of a table over d stands for."""
+    return Fraction(x) if d is None else Fraction(x, d)
+
+
+def _exact_list(d: int | None, scaled: list) -> list[Fraction]:
+    """The exact values of held entries over d, one ``Fraction`` per
+    distinct entry."""
+    value = {x: _exact(d, x) for x in set(scaled)}
+    return list(map(value.__getitem__, scaled))
+
+
+def _merged(*held: tuple[int | None, list]) -> tuple[int | None, list[list]]:
+    """Held tables brought onto one denominator: ``(d, tables)`` with d the
+    lcm of theirs, or d None and every table as its exact values when any
+    of them is on the ``Fraction`` fallback."""
+    if any(e is None for e, _ in held):
+        return None, [_exact_list(e, scaled) for e, scaled in held]
+    d = math.lcm(*(e for e, _ in held))
+    return d, [scaled if e == d else list(map(mul, scaled, repeat(d // e))) for e, scaled in held]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -447,24 +483,23 @@ class GroundSet:
 class SetFunction:
     """Dense table of exact values, one per subset of a ground set.
 
-    A table holds one form, the pair ``_common_denominator(values)``: ints
-    over the lcm d of its denominators, or the ``Fraction`` values when d
-    would be too long.  Both constructors bring what they are given to that
-    form, so equal tables hold equal pairs.  The ``Fraction`` view
+    A table holds one form, the pair ``_held = _common_denominator(values)``:
+    ints over the lcm d of its denominators, or the ``Fraction`` values when
+    d would be too long.  Both constructors bring what they are given to
+    that form, so equal tables hold equal pairs.  The ``Fraction`` view
     ``values`` is built from the pair when it is asked for.
     """
 
     __slots__ = ("ground", "_values", "_held")
 
     def __init__(self, ground: GroundSet, values: Iterable[Rational]):
-        table = tuple(to_fraction(v) for v in values)
+        table = [to_fraction(v) for v in values]
         if len(table) != 1 << ground.n:
             raise ValueError(
                 f"need {1 << ground.n} values for a ground set of {ground.n} elements, "
                 f"got {len(table)}"
             )
-        self.ground = ground
-        self._values = table
+        self.ground, self._values = ground, None
         self._held = _common_denominator(table)
 
     @classmethod
@@ -479,17 +514,8 @@ class SetFunction:
     @property
     def values(self) -> tuple[Fraction, ...]:
         if self._values is None:
-            d, scaled = self._held
-            if d is None:
-                self._values = tuple(scaled)
-            else:
-                value = {x: Fraction(x, d) for x in set(scaled)}
-                self._values = tuple(map(value.__getitem__, scaled))
+            self._values = tuple(_exact_list(*self._held))
         return self._values
-
-    def _scaled(self) -> tuple[int | None, list]:
-        """The held pair ``_common_denominator(values)``."""
-        return self._held
 
     @classmethod
     def from_callable(cls, ground: GroundSet, fn: Callable[[int], Rational]) -> "SetFunction":
@@ -497,11 +523,11 @@ class SetFunction:
 
     def __call__(self, subset: int) -> Fraction:
         d, scaled = self._held
-        value = scaled[self.ground.check_mask(subset)]
-        return value if d is None else Fraction(value, d)
+        return _exact(d, scaled[self.ground.check_mask(subset)])
 
     def singletons(self) -> tuple[Fraction, ...]:
-        return tuple(self(1 << i) for i in range(self.ground.n))
+        d, scaled = self._held
+        return tuple(_exact(d, scaled[1 << i]) for i in range(self.ground.n))
 
     def is_integer_valued(self) -> bool:
         return self._held[0] == 1

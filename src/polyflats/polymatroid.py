@@ -11,13 +11,9 @@ too; the per-mask predicates apply these maps to one subset.
 The whole-table scans (``check_polymatroid``, ``flats`` and
 ``cyclic_flats``) instead run one pass per element i (or pair i, j) over
 the table's held ints, each pass comparing every A without i with A + i at
-once.  On the packed table of ``model._Fields`` a pass is a shift and a
-guarded subtraction: the guard bits that come out set are the violating or
-marked masks, the least of them the lowest set bit.  Flat marks are
-equality, a guard set both ways; the cyclic flats are the guard bits that
-no pass marks.  Tables too wide to pack, or on the ``Fraction`` fallback,
-run the same passes as slices of the list: ``model._halves`` lines the
-pairs up and one ``map`` compares or marks them.
+once, on the packed table or as slice passes (see ``model``).  A pass
+marks the violating masks, the least of them the first witness; flat
+marks are equality, and the cyclic flats are the masks no pass marks.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from .model import (
     SetFunction,
     _gains,
     _halves,
+    _merged,
     _pack,
     bits,
     induced_measure,
@@ -152,7 +149,7 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
     in the scan order (A, i) or (A, i, j) is the least of the passes' least
     violating masks paired with their elements.
     """
-    d, v = f._scaled()
+    d, v = f._held
     n = f.ground.n
     w_nonneg = _nonnegative_witness(v)
     w_mono = w_sub = None
@@ -168,12 +165,9 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
     if rises:
         a, i, j = min(rises)
         w_sub = AxiomWitness("submodular", (a,), (i, j))
-    # d is None only past 512 bits, so never for an integer table
-    integer = d == 1
+    integer = f.is_integer_valued()
     is_poly = w_nonneg is None and w_mono is None and w_sub is None
-    is_matroid = (
-        is_poly and integer and all(v[1 << i] in (0, 1) for i in range(n))
-    )
+    is_matroid = is_poly and integer and all(v[1 << i] in (0, 1) for i in range(n))
     return PolymatroidReport(
         nonnegative=w_nonneg is None,
         monotone=w_mono is None,
@@ -186,7 +180,7 @@ def check_polymatroid(f: SetFunction) -> PolymatroidReport:
 
 def loops(f: SetFunction) -> int:
     """Mask of elements with singleton rank zero."""
-    _, v = f._scaled()
+    v = f._held[1]
     out = 0
     for i in range(f.ground.n):
         if v[1 << i] == 0:
@@ -201,7 +195,7 @@ def coloops(f: SetFunction) -> int:
     (f(i) = 0) meets it as 0 = 0, so every loop is reported as a coloop
     too, unlike in matroid usage, where a loop never is one.
     """
-    _, v = f._scaled()
+    v = f._held[1]
     full = f.ground.full
     out = 0
     for i in range(f.ground.n):
@@ -277,7 +271,7 @@ def _packed_marks(fields, table: int, singles: list | None) -> int:
 
 def _marked_flats(f: SetFunction, cyclic: bool) -> list[int]:
     """The flats of ``f``, or its cyclic flats, in mask order."""
-    d, v = f._scaled()
+    d, v = f._held
     n = f.ground.n
     packed = _pack(d, v)
     if packed:
@@ -295,7 +289,7 @@ def closure(f: SetFunction, subset: int) -> int:
     conditional rank zero over the result (monotonicity).
     """
     f.ground.check_mask(subset)
-    return _closure(f._scaled()[1], f.ground.n, subset)
+    return _closure(f._held[1], f.ground.n, subset)
 
 
 def is_flat(f: SetFunction, subset: int) -> bool:
@@ -311,7 +305,7 @@ def flats(f: SetFunction) -> list[int]:
 def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
     """A flat is cyclic when each member is a loop or sits strictly below
     its singleton rank given the rest."""
-    return is_flat(f, subset) and _cyclic_part(f._scaled()[1], subset) == subset
+    return is_flat(f, subset) and _cyclic_part(f._held[1], subset) == subset
 
 
 def max_cyclic_flat(f: SetFunction, flat: int) -> int:
@@ -325,7 +319,7 @@ def max_cyclic_flat(f: SetFunction, flat: int) -> int:
     """
     if not is_flat(f, flat):
         raise NotAFlat(f"{f.ground.describe(flat)} is not a flat")
-    return _cyclic_part(f._scaled()[1], flat)
+    return _cyclic_part(f._held[1], flat)
 
 
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
@@ -356,8 +350,7 @@ def reconstruction_failure(f: SetFunction) -> int | None:
     from .convolution import convolve  # convolution imports this module
 
     rebuilt = convolve(*cyclic_flats(f))
-    (d, v), (e, w) = f._scaled(), rebuilt._scaled()
-    if d != e:
-        # ints over different denominators: compare the values themselves
-        v, w = f.values, rebuilt.values
-    return next((a for a, (x, y) in enumerate(zip(v, w)) if x != y), None)
+    if rebuilt == f:
+        return None
+    _, (v, w) = _merged(f._held, rebuilt._held)
+    return next(compress(f.ground.subsets(), map(ne, v, w)), None)

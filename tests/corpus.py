@@ -260,7 +260,7 @@ def small_denominator_table(n: int) -> SetFunction:
 def kernel_path(f: SetFunction) -> str:
     """Which form the 2^n kernels run ``f`` on: ``packed8`` to ``packed64``
     by field width, ``slices`` for ints too wide to pack, or ``fractions``."""
-    d, v = f._scaled()
+    d, v = f._held
     if d is None:
         return "fractions"
     packed = _pack(d, v)

@@ -78,7 +78,7 @@ def test_generators_hold_the_ints_their_values_give():
         uniform_matroid(3, 5),
         graphic_matroid(4, [(0, 1), (1, 2), (2, 0), (3, 3), (0, 1)]),
     ):
-        assert f._scaled() == _common_denominator(f.values)
+        assert f._held == _common_denominator(f.values)
         assert f == SetFunction(f.ground, f.values)
         assert all(type(v) is Fraction for v in f.values)
 
@@ -281,7 +281,7 @@ def test_infiltrate_matches_the_reference_loop(infiltration_pairs):
         expected = _oracles.infiltrate_reference(spec)
         assert r == expected
         # the held pair is exactly the one the values would give
-        assert r._scaled() == _common_denominator(expected.values)
+        assert r._held == _common_denominator(expected.values)
 
 
 def _scaled_guest(base: SetFunction, total, labels) -> SetFunction:
@@ -294,11 +294,11 @@ def test_infiltrate_brings_host_and_guest_to_their_lcm():
     total = host(host.ground.singleton(pivot))
     guest = _scaled_guest(corpus.small_denominator_table(3), total, ("p", "q", "r"))
     spec = InfiltrationSpec(host, pivot, guest)
-    assert host._scaled()[0] != guest._scaled()[0]
+    assert host._held[0] != guest._held[0]
     r = infiltrate(spec)
     expected = _oracles.infiltrate_reference(spec)
     assert r == expected
-    assert r._scaled() == _common_denominator(expected.values)
+    assert r._held == _common_denominator(expected.values)
     assert infiltrate_via_lattices(spec) == r
 
 

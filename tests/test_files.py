@@ -266,7 +266,7 @@ def test_fast_and_slow_reader_paths_agree():
         doc = polymatroid_to_doc(f)
         fast, slow = polymatroid_from_doc(doc), _slow_read(doc)
         assert fast == slow == f
-        assert fast._scaled() == slow._scaled()
+        assert fast._held == slow._held
         for bad in _bad_values(doc):
             assert list(bad["rank"]) == _file_order(f.ground).keys
             outcome = _outcome(polymatroid_from_doc, bad)

@@ -183,10 +183,10 @@ def test_scaled_tables_are_brought_to_lowest_terms():
     f = SetFunction._from_scaled(g, 6, [0, 3, 3, 6])
     expected = SetFunction(g, [0, Fraction(1, 2), Fraction(1, 2), 1])
     assert f == expected and hash(f) == hash(expected)
-    assert f._scaled() == expected._scaled() == (2, [0, 1, 1, 2])
+    assert f._held == expected._held == (2, [0, 1, 1, 2])
     assert not f.is_integer_valued()
     whole = SetFunction._from_scaled(g, 2, [0, 2, 2, 4])
-    assert whole.is_integer_valued() and whole._scaled() == (1, [0, 1, 1, 2])
+    assert whole.is_integer_valued() and whole._held == (1, [0, 1, 1, 2])
     assert whole == SetFunction(g, [0, 1, 1, 2]) and whole(3) == 2 and type(whole(3)) is Fraction
 
 
@@ -195,13 +195,23 @@ def test_exact_values_handed_over_take_the_held_form_on_both_sides_of_the_bound(
     for n in (5, 6, 7, 8):
         built = corpus.coprime_denominator_table(n)
         handed = SetFunction._from_scaled(built.ground, None, list(built.values))
-        assert (handed._scaled()[0] is None) == (n >= 7)
+        assert (handed._held[0] is None) == (n >= 7)
         assert handed == built and hash(handed) == hash(built)
-        assert handed._scaled() == built._scaled() == _common_denominator(built.values)
+        assert handed._held == built._held == _common_denominator(built.values)
         # exact values whose lcm is small come back as ints
         halved = [Fraction(int(v), 2) for v in built.values]
         small = SetFunction._from_scaled(built.ground, None, halved)
-        assert small._scaled()[0] == 2 and small == SetFunction(built.ground, halved)
+        assert small._held[0] == 2 and small == SetFunction(built.ground, halved)
+
+
+def test_tables_built_from_values_hold_only_their_pair_until_the_view_is_read():
+    # coprime prime denominators: ints up to n = 6, Fractions from n = 7 on
+    for n in (5, 6, 7, 8):
+        built = corpus.coprime_denominator_table(n)
+        values = list(built.values)
+        f = SetFunction(built.ground, values)
+        assert f._values is None and (f._held[0] is None) == (n >= 7)
+        assert f.values == tuple(values) and f._values is not None
 
 
 def test_measure_table_matches_singleton_sums():

@@ -224,7 +224,7 @@ def test_convolutions_match_references_on_perturbed_lattices(harvested_pairs):
 
 def test_tables_hold_their_common_denominator(tmp_path, harvested_pairs):
     def holds(f):
-        assert f._scaled() == _common_denominator(f.values)
+        assert f._held == _common_denominator(f.values)
         assert f.is_integer_valued() == all(v.denominator == 1 for v in f.values)
 
     path = tmp_path / "f.json"
@@ -234,7 +234,7 @@ def test_tables_hold_their_common_denominator(tmp_path, harvested_pairs):
         back = read_polymatroid(path)
         holds(back)
         assert back == f
-    assert read_polymatroid(path)._scaled()[0] is None  # the coprime n = 8 table
+    assert read_polymatroid(path)._held[0] is None  # the coprime n = 8 table
     for _, lattice, mu in harvested_pairs[:40]:
         holds(convolve(lattice, mu))
         holds(convolve_lattices(lattice, lattice))
@@ -249,7 +249,7 @@ def test_tables_hold_their_common_denominator(tmp_path, harvested_pairs):
     other = validate_lattice(g, [(0, 0), (0b10, Fraction(1, 3)), (0b11, 1)])
     both = convolve_lattices(lat, other)
     holds(both)
-    assert both._scaled()[0] == 3 and both == _oracles.convolve_lattices_reference(lat, other)
+    assert both._held[0] == 3 and both == _oracles.convolve_lattices_reference(lat, other)
     # results past 512 bits: four 40-digit prime denominators that most
     # values keep stay ints; three 60-digit ones that only 4 of 256 values
     # keep fall back to Fractions, though the inputs' ints fit their bound
@@ -258,7 +258,7 @@ def test_tables_hold_their_common_denominator(tmp_path, harvested_pairs):
     lat = RankedLattice(g4, [(0, 0), (g4.full, 4)] + [(1 << i, Fraction(1, primes[i])) for i in range(4)])
     r = convolve(lat, Measure(g4, [1] * 4))
     holds(r)
-    assert r._scaled()[0].bit_length() > 512
+    assert r._held[0].bit_length() > 512
     g8 = GroundSet(tuple("abcdefgh"))
     primes = corpus.large_primes(3, 60)
     family = [(g8.full ^ 1 << i, 7 - Fraction(1, primes[i])) for i in range(3)]
@@ -267,13 +267,13 @@ def test_tables_hold_their_common_denominator(tmp_path, harvested_pairs):
     assert _common_denominator(lat.ranks + mu.singleton)[0] is not None
     r = convolve(lat, mu)
     holds(r)
-    assert r._scaled()[0] is None
+    assert r._held[0] is None
     # thirds that every cover adds up to 1
     thirds = RankedLattice(g, [(0, Fraction(1, 3)), (0b11, Fraction(1, 3))])
     two_thirds = RankedLattice(g, [(0, Fraction(2, 3)), (0b11, Fraction(2, 3))])
     ones = convolve_lattices(thirds, two_thirds)
     holds(ones)
-    assert ones._scaled() == (1, [1, 1, 1, 1])
+    assert ones._held == (1, [1, 1, 1, 1])
 
 
 def test_reconstruction_failure_names_the_first_differing_subset():
@@ -288,3 +288,20 @@ def test_reconstruction_failure_names_the_first_differing_subset():
         first = next(a for a in g.subsets() if rebuilt.values[a] != f.values[a])
         assert first == 0b011
         assert reconstruction_failure(f) == first
+
+
+def test_reconstruction_failure_compares_tables_on_different_denominators_without_their_values(
+    monkeypatch,
+):
+    # the 5/2 table above is held over d = 2, its rebuilt table over d = 1
+    g = GroundSet(("a", "b", "c"))
+    values = [Fraction(a.bit_count()) for a in g.subsets()]
+    values[0b011] = Fraction(5, 2)
+    f = SetFunction(g, values)
+    assert (f._held[0], convolve(*cyclic_flats(f))._held[0]) == (2, 1)
+
+    def refuse(self):
+        raise AssertionError("the Fraction view was built")
+
+    monkeypatch.setattr(SetFunction, "values", property(refuse))
+    assert reconstruction_failure(f) == 0b011
