@@ -29,6 +29,7 @@ from .model import (
     GroundSet,
     Measure,
     SetFunction,
+    _check_ground_size,
     _merged,
     bits,
     submasks,
@@ -75,10 +76,13 @@ def uniform_matroid(k: int, n: int, labels=None) -> SetFunction:
 
 
 def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
-    """Rank of an edge subset: vertices minus components of its subgraph.
+    """Rank of an edge subset: the number of its edges that join two
+    components as they are added, which is the vertex count minus the
+    number of components of its subgraph.
 
-    ``edges`` is a sequence of (u, v) vertex pairs; self-loops are allowed
-    and come out as loops of the matroid.
+    ``edges`` is a sequence of (u, v) vertex pairs below ``vertices``;
+    self-loops are allowed and come out as loops of the matroid.  Only the
+    edges' endpoints are ever held, so ``vertices`` just bounds them.
     """
     edge_list = [tuple(e) for e in edges]
     if vertices < 0:
@@ -92,8 +96,14 @@ def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
         labels = tuple(f"e{i + 1}" for i in range(len(edge_list)))
     ground = _resolve_labels(len(edge_list), labels)
 
+    # the endpoints, numbered in the order they first appear
+    point: dict[int, int] = {}
+    ends = [
+        (point.setdefault(u, len(point)), point.setdefault(v, len(point))) for u, v in edge_list
+    ]
+
     def rank(a: int) -> int:
-        parent = list(range(vertices))
+        parent = list(range(len(point)))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -101,13 +111,13 @@ def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
                 x = parent[x]
             return x
 
-        components = vertices
+        merges = 0
         for i in bits(a):
-            u, v = find(edge_list[i][0]), find(edge_list[i][1])
+            u, v = find(ends[i][0]), find(ends[i][1])
             if u != v:
                 parent[u] = v
-                components -= 1
-        return vertices - components
+                merges += 1
+        return merges
 
     return SetFunction._from_scaled(ground, 1, list(map(rank, ground.subsets())))
 
@@ -203,9 +213,10 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     if not report.integer_valued:
         raise NotInteger("block expansion needs an integer-valued polymatroid")
 
+    widths = [max(1, int(v)) for v in f.singletons()]
+    _check_ground_size(sum(widths))
     names, blocks, position = [], [], 0
-    for i, name in enumerate(f.ground.names):
-        width = max(1, int(f(1 << i)))
+    for name, width in zip(f.ground.names, widths):
         names += [f"{name}#{copy}" for copy in range(1, width + 1)]
         blocks.append(((1 << width) - 1) << position)
         position += width

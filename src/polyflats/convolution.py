@@ -10,10 +10,7 @@ The two-lattice form covers A by a member from each lattice:
 
 Neither scans the members once per subset.  Both seed a table with the
 ranks of what covers (a member, or the union of a pair), then take its
-superset-min transform ``h(A) = min{h(Z) : Z contains A}``, n passes over
-the subset cube as in the zeta transforms of Bjorklund, Husfeldt, Kaski and
-Koivisto ("Fourier meets Moebius: fast subset convolution", STOC 2007).
-Pass i lowers each h(A) without i to h(A + i) where that is less.  For two
+superset-min transform ``h(A) = min{h(Z) : Z contains A}``.  For two
 lattices h is the answer.  For one lattice the measure pays for the part of
 A a member leaves out, by the recurrence
 
@@ -22,15 +19,12 @@ A a member leaves out, by the recurrence
 which holds because mu >= 0: an optimal Z either contains A, giving h(A),
 or misses some i in A, and then rank(Z) + mu(A - Z) is rank(Z) +
 mu((A - i) - Z) + mu(i), at least r(A - i) + mu(i); conversely each
-right-hand term is the value of some Z at A or exceeds one.  Taken one
-element at a time, it is again n passes, each lowering r(A + i) to
-r(A) + mu(i) where that is less.
+right-hand term is the value of some Z at A or exceeds one.
 
-Both transforms run on ints over the common denominator of the ranks and
-the measure, so the result is exact: a pass is a min of the table and
-itself shifted by one element, on the packed table or as slice passes (see
-``model``).  The result keeps its ints, over the lcm of its own
-denominators, which may be smaller than that of the ranks and the measure.
+``model._least_covers`` takes the transform and the recurrence, on ints
+over the common denominator of the ranks and the measure, so the result is
+exact.  The result keeps its ints, over the lcm of its own denominators,
+which may be smaller than that of the ranks and the measure.
 
 ``verify_main_theorem`` closes the loop: convolve, re-extract the cyclic
 flats of the result, and compare them (and the singleton ranks) with what
@@ -41,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add
 
 from .lattice import ConditionReport, RankedLattice, check_conditions
 from .model import (
@@ -51,40 +43,11 @@ from .model import (
     Measure,
     SetFunction,
     _common_denominator,
-    _halves,
-    _pack,
-    _unpack,
+    _least_covers,
     bits,
     format_rational,
 )
 from .polymatroid import check_polymatroid, cyclic_flats
-
-
-def _least_covers(d: int | None, h: list, weights: list = ()) -> list:
-    """The superset-min transform of ``h``, the table seeded with the rank
-    of what covers each mask, then the recurrence for each ``weights[i]``
-    in turn: after element i, h[A] is the best cover of A that may leave
-    out elements up to i at their weight.  Packed when the span of ``h``,
-    plus the largest weight, fits ``_packing``'s fields; else slice passes,
-    in place."""
-    packed = _pack(d, h, max(weights, default=0))
-    if packed:
-        fields, table, low = packed
-        for i in range(fields.n):
-            table ^= fields.lower(table, table >> (fields.width << i), fields.guards(i))
-        for i, w in enumerate(weights):
-            step = fields.width << i
-            up = table >> step
-            table ^= fields.lower(up, table + fields.fill(w), fields.guards(i)) << step
-        return _unpack(fields, table, low)
-    size = len(h)
-    for i in range(size.bit_length() - 1):
-        for lo, hi in _halves(size, 1 << i):
-            h[lo] = map(min, h[lo], h[hi])
-    for i, w in enumerate(weights):
-        for lo, hi in _halves(size, 1 << i):
-            h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
-    return h
 
 
 def convolve(lattice: RankedLattice, mu: Measure) -> SetFunction:

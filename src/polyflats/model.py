@@ -16,7 +16,7 @@ Multiplying every value by the same positive d keeps every comparison
 between sums of values, so verdicts and first witnesses do not change.  The
 pair (d, ints), or d None and the ``Fraction`` values past the bound below,
 is the one form a ``SetFunction`` holds, and this module alone reads d: the
-others only pass it on, to ``_pack``, the convolution kernels and
+others only pass it on, to the 2^n entry points below and
 ``SetFunction._from_scaled``.  ``SetFunction(ground, values)`` and the
 rank-file reader's ``_from_texts`` work the pair out from exact values;
 ``_from_scaled`` takes ints over any d, or exact values with d None, and is
@@ -28,24 +28,29 @@ pairs, so equality, hashing and ``is_integer_valued`` read the pair alone.
 ``Fraction`` per distinct value, and ``_merged`` brings held tables onto
 one denominator.
 
-Each 2^n kernel pairs every subset A with A + i, one element i at a time,
-on the subset-cube layout of Yates's method and of the zeta transforms in
-Bjorklund, Husfeldt, Kaski and Koivisto ("Fourier meets Moebius: fast subset
-convolution", STOC 2007).  Where the ints allow it the kernels run on a
-packed table (``_Fields``): one Python int with a W-bit field per mask, the
-field of mask m at bit m·W, holding v(m) minus the table's least value.
-Shifting the table right by W·2^i lines the field of A + i up with that of
-A, so one pass over all pairs is a few whole-table int operations done in C:
-SIMD within a register (Lamport, "Multiple byte processing with full-word
-instructions", CACM 18(8), 1975).  Fields stay below 2^(W-2); the top bit of
-each field is its guard bit.  Adding 2^(W-1) - 1 to a field and subtracting
-another leaves the guard set exactly where the first was larger, and no
-borrow or carry crosses into the next field, so ``x > y`` for every pair is
-one add, one subtraction and a mask.  A bias of 2^(W-2) keeps a difference
-of two fields non-negative, which is how the gains v(A + i) - v(A) are
-tabled.  A guard mask turns into a field mask by subtracting it shifted
-down to the low bit, and the min of two tables takes the fields of the
-second where that mask is set.
+Three computations walk all 2^n subsets of a table, and each has one
+entry point here that takes the held pair and picks its own form:
+``_axiom_violations`` (the least negative value, monotone step and local
+exchange that fail), ``_marked_flats`` (the flats or cyclic flats in mask
+order) and ``_least_covers`` (the superset-min transform and the measure
+recurrence behind both convolutions).  Each pairs every subset A with
+A + i, one element i at a time, on the subset-cube layout of Yates's method
+and of the zeta transforms in Bjorklund, Husfeldt, Kaski and Koivisto
+("Fourier meets Moebius: fast subset convolution", STOC 2007).  Where the
+ints allow it they run on a packed table (``_Fields``): one Python int with
+a W-bit field per mask, the field of mask m at bit m·W, holding v(m) minus
+the table's least value.  Shifting the table right by W·2^i lines the field
+of A + i up with that of A, so one pass over all pairs is a few whole-table
+int operations done in C: SIMD within a register (Lamport, "Multiple byte
+processing with full-word instructions", CACM 18(8), 1975).  Fields stay
+below 2^(W-2); the top bit of each field is its guard bit.  Adding
+2^(W-1) - 1 to a field and subtracting another leaves the guard set exactly
+where the first was larger, and no borrow or carry crosses into the next
+field, so ``x > y`` for every pair is one add, one subtraction and a mask.
+A bias of 2^(W-2) keeps a difference of two fields non-negative, which is
+how the gains v(A + i) - v(A) are tabled.  A guard mask turns into a field
+mask by subtracting it shifted down to the low bit, and the min of two
+tables takes the fields of the second where that mask is set.
 
 The width is a fixed rule, ``_packing``: the narrowest of 8, 16, 32 and 64
 bits that holds the table's span (max - min, plus the largest weight that
@@ -56,7 +61,7 @@ so that one pass costs about sqrt(2^n) Python steps and ``map`` with
 ``operator`` functions does the rest in C, and ``_gains`` uses the same
 pairs to table v(A + i) - v(A).  ``array`` packs nothing wider than 64
 bits, and wider fields, packed through ``int.to_bytes``, were measured
-slower than slice passes.
+slower than slice passes.  No other module knows either layout.
 
 The int form pays only while the lcm of a table's denominators stays small,
 as it does when they are drawn from a few values.  Many pairwise coprime
@@ -72,8 +77,8 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import mul, sub
+from itertools import compress, count, repeat
+from operator import add, and_, gt, lt, mul, ne, sub
 from typing import Callable, Iterable, Iterator
 
 MAX_GROUND_SIZE = 20
@@ -312,12 +317,9 @@ class _Fields:
             length *= 2
         return table
 
-    def fill(self, value: int, without: int | None = None) -> int:
-        """``value`` (below 2^W) in every field, or only in those of the
-        masks without bit ``without``."""
-        if without is None:
-            return self.ones * value
-        return (self.guards(without) >> (self.width - 1)) * value
+    def fill(self, value: int) -> int:
+        """``value`` (below 2^W) in every field."""
+        return self.ones * value
 
     def guards(self, without: int) -> int:
         """The guard bits of the masks without bit ``without``."""
@@ -404,6 +406,138 @@ def _unpack(fields: _Fields, table: int, low: int) -> list[int]:
     return list(map(value.__getitem__, out))
 
 
+def _first_pair(holds, t: list, step: int) -> int | None:
+    """Least index A without the bit ``step`` with ``holds(t[A], t[A + step])``.
+
+    The pass only asks whether any pair holds; the least index is looked for
+    only when one does.
+    """
+    pairs = list(_halves(len(t), step))
+    if not any(any(map(holds, t[lo], t[hi])) for lo, hi in pairs):
+        return None
+    masks = range(len(t))
+    return min(next(compress(masks[lo], map(holds, t[lo], t[hi])), len(t)) for lo, hi in pairs)
+
+
+def _axiom_violations(d: int | None, v: list) -> tuple[int | None, tuple | None, tuple | None]:
+    """``(negative, fall, rise)`` for the held table ``(d, v)``: the least
+    mask with a negative value, the least ``(A, i)`` with v(A) > v(A + i),
+    and the least ``(A, i, j)``, i < j outside A, with
+    v(A + i) + v(A + j) < v(A + i + j) + v(A); each None where there is none.
+
+    Pass i compares every A without i with A + i; pass (i, j) compares the
+    gain v(A + i) - v(A) at A with that at A + j.  Each pass yields its
+    least violating mask, and the least of them with its elements is the
+    first violation in the order (A, i) or (A, i, j).
+    """
+    n = len(v).bit_length() - 1
+    packed = _pack(d, v)
+    least = packed[2] if packed else min(v)
+    negative = None if least >= 0 else next(compress(count(), map(lt, v, repeat(0))))
+    falls, rises = [], []
+    if packed is None:
+        falls = [(a, i) for i in range(n) if (a := _first_pair(gt, v, 1 << i)) is not None]
+        for i in range(n - 1):
+            gains = _gains(v, 1 << i)
+            low = (1 << i) - 1
+            for j in range(i + 1, n):
+                # in the gains, A sits at c with bit i cut out, and j at bit j - 1
+                c = _first_pair(lt, gains, 1 << (j - 1))
+                if c is not None:
+                    rises.append(((c & ~low) << 1 | c & low, i, j))
+    else:
+        fields, table, _ = packed
+        w = fields.width
+        for i in range(n):
+            fall = fields.greater(table, table >> (w << i), fields.guards(i))
+            if fall:
+                falls.append((fields.first(fall), i))
+        bias = fields.fill(1 << (w - 2))
+        for i in range(n - 1):
+            # v(A + i) - v(A) + 2^(W-2) at each A without i, 0 at the rest
+            at = fields.guards(i)
+            gains = ((table >> (w << i)) + bias - table) & (at - (at >> (w - 1)))
+            for j in range(i + 1, n):
+                # at an A with i, the gains at A and A + j are both 0
+                rise = fields.greater(gains >> (w << j), gains, fields.guards(j))
+                if rise:
+                    rises.append((fields.first(rise), i, j))
+    return negative, min(falls, default=None), min(rises, default=None)
+
+
+def _marked_flats(d: int | None, v: list, cyclic: bool) -> list[int]:
+    """The flats of the held table ``(d, v)`` in mask order, or with
+    ``cyclic`` its cyclic flats.
+
+    Pass i marks each A without i with v(A) = v(A + i) as no flat, and for
+    cyclic flats, when v(i) != 0, each A + i with v(A + i) - v(A) >= v(i)
+    as not cyclic.  The members are the masks no pass marks.
+    """
+    n = len(v).bit_length() - 1
+    singles = [v[1 << i] if cyclic else 0 for i in range(n)]
+    packed = _pack(d, v)
+    if packed is None:
+        keep = [True] * len(v)
+        for i, single in enumerate(singles):
+            for lo, hi in _halves(len(v), 1 << i):
+                a, b = v[lo], v[hi]
+                keep[lo] = map(and_, keep[lo], map(ne, a, b))
+                if single != 0:
+                    keep[hi] = map(and_, keep[hi], map(lt, map(sub, b, a), repeat(single)))
+        return list(compress(range(len(v)), keep))
+    fields, table, _ = packed
+    w = fields.width
+    # the gains v(A + i) - v(A) lie within +-cap
+    cap = (1 << (w - 2)) - 1
+    marks = 0
+    for i, single in enumerate(singles):
+        step, at = w << i, fields.guards(i)
+        up = table >> step
+        marks |= fields.equal(table, up, at)
+        if single != 0:
+            # v(A + i) - v(A) >= v(i) keeps the guard of v(A + i) + 2^(W-1)
+            # - v(i) - v(A); clipped to [-cap, cap + 1], v(i) marks the same
+            # masks and the field neither borrows nor carries
+            single = min(max(single, -cap), cap + 1)
+            marks |= ((up + fields.fill((1 << (w - 1)) - single) - table) & at) << step
+    return fields.marked(fields.guard ^ marks)
+
+
+def _least_covers(d: int | None, h: list, weights: list = ()) -> list:
+    """The superset-min transform of ``h``, the table seeded with the rank
+    of what covers each mask, then the recurrence for each ``weights[i]``
+    in turn: after element i, h[A] is the best cover of A that may leave
+    out elements up to i at their weight.
+
+    Transform pass i lowers each h(A) without i to h(A + i) where that is
+    less; recurrence pass i lowers each h(A + i) to h(A) + weights[i].
+    Packed when the span of ``h``, plus the largest weight, fits
+    ``_packing``'s fields; else slice passes, in place."""
+    packed = _pack(d, h, max(weights, default=0))
+    if packed:
+        fields, table, low = packed
+        for i in range(fields.n):
+            table ^= fields.lower(table, table >> (fields.width << i), fields.guards(i))
+        for i, w in enumerate(weights):
+            step = fields.width << i
+            up = table >> step
+            table ^= fields.lower(up, table + fields.fill(w), fields.guards(i)) << step
+        return _unpack(fields, table, low)
+    size = len(h)
+    for i in range(size.bit_length() - 1):
+        for lo, hi in _halves(size, 1 << i):
+            h[lo] = map(min, h[lo], h[hi])
+    for i, w in enumerate(weights):
+        for lo, hi in _halves(size, 1 << i):
+            h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
+    return h
+
+
+def _check_ground_size(n: int) -> None:
+    if n > MAX_GROUND_SIZE:
+        raise ValueError(f"ground set has {n} elements, limit is {MAX_GROUND_SIZE}")
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered collection of distinct element labels, at most 20 of them.
@@ -417,14 +551,15 @@ class GroundSet:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) > MAX_GROUND_SIZE:
-            raise ValueError(
-                f"ground set has {len(self.names)} elements, limit is {MAX_GROUND_SIZE}"
-            )
+        _check_ground_size(len(self.names))
         position = {}
         for i, name in enumerate(self.names):
             if not isinstance(name, str) or not name:
                 raise ValueError(f"bad element label {name!r}: labels are non-empty strings")
+            try:
+                name.encode()
+            except UnicodeEncodeError:  # a lone surrogate, which no file can hold
+                raise ValueError(f"bad element label {name!r}: labels are valid Unicode") from None
             if name in position:
                 raise ValueError(f"duplicate element label {name!r}")
             position[name] = i

@@ -8,28 +8,25 @@ polymatroid they always form a lattice under inclusion.  Flats are the
 fixed points of the map ``_closure``, cyclic flats those of ``_cyclic_part``
 too; the per-mask predicates apply these maps to one subset.
 
-The whole-table scans (``check_polymatroid``, ``flats`` and
-``cyclic_flats``) instead run one pass per element i (or pair i, j) over
-the table's held ints, each pass comparing every A without i with A + i at
-once, on the packed table or as slice passes (see ``model``).  A pass
-marks the violating masks, the least of them the first witness; flat
-marks are equality, and the cyclic flats are the masks no pass marks.
+The whole-table computations, the axiom scan behind ``check_polymatroid``
+and the flat marks behind ``flats`` and ``cyclic_flats``, are one call each
+into ``model`` (``_axiom_violations`` and ``_marked_flats``), which says how
+the 2^n subsets are walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import and_, gt, lt, ne, sub
+from itertools import compress
+from operator import ne
 
 from .lattice import RankedLattice
 from .model import (
     Measure,
     SetFunction,
-    _gains,
-    _halves,
+    _axiom_violations,
+    _marked_flats,
     _merged,
-    _pack,
     bits,
     induced_measure,
 )
@@ -75,99 +72,34 @@ class PolymatroidReport:
         return self.nonnegative and self.monotone and self.submodular
 
 
-def _nonnegative_witness(v: list) -> AxiomWitness | None:
-    if min(v) >= 0:
-        return None
-    return AxiomWitness("nonnegative", (next(m for m, x in enumerate(v) if x < 0),))
-
-
-def _first_pair(holds, t: list, step: int) -> int | None:
-    """Least index A without the bit ``step`` with ``holds(t[A], t[A + step])``.
-
-    The pass only asks whether any pair holds; the least index is looked for
-    only when one does.
-    """
-    pairs = list(_halves(len(t), step))
-    if not any(any(map(holds, t[lo], t[hi])) for lo, hi in pairs):
-        return None
-    masks = range(len(t))
-    return min(next(compress(masks[lo], map(holds, t[lo], t[hi])), len(t)) for lo, hi in pairs)
-
-
-def _packed_axioms(fields, table: int) -> tuple[list, list]:
-    """The least violating mask of every monotone pass (i) and exchange
-    pass (i, j) on a packed table, as ``(A, i)`` and ``(A, i, j)``."""
-    w, n = fields.width, fields.n
-    falls, rises = [], []
-    for i in range(n):
-        fall = fields.greater(table, table >> (w << i), fields.guards(i))
-        if fall:
-            falls.append((fields.first(fall), i))
-    bias = fields.fill(1 << (w - 2))
-    for i in range(n - 1):
-        # v(A + i) - v(A) + 2^(W-2) at each A without i, 0 at the rest
-        step = w << i
-        gains = ((table >> step) + bias - table) & fields.fill((1 << (w - 1)) - 1, i)
-        for j in range(i + 1, n):
-            # at an A with i, the gains at A and A + j are both 0
-            rise = fields.greater(gains >> (w << j), gains, fields.guards(j))
-            if rise:
-                rises.append((fields.first(rise), i, j))
-    return falls, rises
-
-
-def _sliced_axioms(v: list, n: int) -> tuple[list, list]:
-    """``_packed_axioms`` as slice passes, on a list of ints or Fractions."""
-    falls = [(a, i) for i in range(n) if (a := _first_pair(gt, v, 1 << i)) is not None]
-    rises = []
-    for i in range(n - 1):
-        gains = _gains(v, 1 << i)
-        low = (1 << i) - 1
-        for j in range(i + 1, n):
-            # in the gains, A sits at c with bit i cut out, and j at bit j - 1
-            c = _first_pair(lt, gains, 1 << (j - 1))
-            if c is not None:
-                rises.append(((c & ~low) << 1 | c & low, i, j))
-    return falls, rises
-
-
 def check_polymatroid(f: SetFunction) -> PolymatroidReport:
     """Check the three axioms plus integrality and matroid-hood.
 
     The witness, when present, is the first violation found scanning
     non-negativity, then monotonicity, then submodularity, each in subset
-    order.  The scans read the table's held ints over its common
-    denominator, packed when its span allows, or the ``Fraction`` values
-    when that denominator would be too long.
+    order.
 
-    Each axiom is a set of passes, one per element or element pair.
     Monotonicity needs only single-element steps, since a violating pair
-    A < B yields a violating step on a chain between them: pass i looks for
-    v(A) > v(A + i).  Submodularity needs only the local exchanges
-    v(A+i) + v(A+j) >= v(A+i+j) + v(A) for i < j outside A: pass (i, j)
-    looks for a rise of the gain of i from A to A + j.  The first violation
-    in the scan order (A, i) or (A, i, j) is the least of the passes' least
-    violating masks paired with their elements.
+    A < B yields a violating step on a chain between them: the first
+    violation is the least (A, i) with v(A) > v(A + i).  Submodularity
+    needs only the local exchanges v(A+i) + v(A+j) >= v(A+i+j) + v(A) for
+    i < j outside A: the first violation is the least (A, i, j) where one
+    fails.  ``model._axiom_violations`` finds both, and the least negative
+    value, on the table's held form.
     """
-    d, v = f._held
-    n = f.ground.n
-    w_nonneg = _nonnegative_witness(v)
-    w_mono = w_sub = None
-    packed = _pack(d, v)
-    if packed:
-        fields, table, _ = packed
-        falls, rises = _packed_axioms(fields, table)
-    else:
-        falls, rises = _sliced_axioms(v, n)
-    if falls:
-        a, i = min(falls)
+    negative, fall, rise = _axiom_violations(*f._held)
+    w_nonneg = w_mono = w_sub = None
+    if negative is not None:
+        w_nonneg = AxiomWitness("nonnegative", (negative,))
+    if fall:
+        a, i = fall
         w_mono = AxiomWitness("monotone", (a, a | 1 << i))
-    if rises:
-        a, i, j = min(rises)
+    if rise:
+        a, i, j = rise
         w_sub = AxiomWitness("submodular", (a,), (i, j))
     integer = f.is_integer_valued()
     is_poly = w_nonneg is None and w_mono is None and w_sub is None
-    is_matroid = is_poly and integer and all(v[1 << i] in (0, 1) for i in range(n))
+    is_matroid = is_poly and integer and all(v in (0, 1) for v in f.singletons())
     return PolymatroidReport(
         nonnegative=w_nonneg is None,
         monotone=w_mono is None,
@@ -226,61 +158,6 @@ def _cyclic_part(v: list, flat: int) -> int:
     return out
 
 
-def _flat_marks(v: list, n: int) -> list[bool]:
-    """Per mask, whether it is a flat: one pass per element i marks each A
-    without i with v(A) = v(A + i) as no flat."""
-    size = len(v)
-    flat = [True] * size
-    for i in range(n):
-        for lo, hi in _halves(size, 1 << i):
-            flat[lo] = map(and_, flat[lo], map(ne, v[lo], v[hi]))
-    return flat
-
-
-def _cyclic_marks(v: list, n: int) -> list[bool]:
-    """Per mask, whether it is a cyclic flat: ``_flat_marks``, then one pass
-    per non-loop i marks each A + i with v(A + i) - v(A) >= v(i)."""
-    keep = _flat_marks(v, n)
-    for i in range(n):
-        single = v[1 << i]
-        if single != 0:
-            for lo, hi in _halves(len(v), 1 << i):
-                keep[hi] = map(and_, keep[hi], map(lt, map(sub, v[hi], v[lo]), repeat(single)))
-    return keep
-
-
-def _packed_marks(fields, table: int, singles: list | None) -> int:
-    """The guard bits of the masks that are no flat on a packed table, and,
-    given the singleton values, of those that are not cyclic either."""
-    w, n = fields.width, fields.n
-    # the gains v(A + i) - v(A) lie within +-cap
-    cap = (1 << (w - 2)) - 1
-    marks = 0
-    for i in range(n):
-        step, at = w << i, fields.guards(i)
-        up = table >> step
-        marks |= fields.equal(table, up, at)
-        if singles is not None and singles[i] != 0:
-            # v(A + i) - v(A) >= v(i) keeps the guard of v(A + i) + 2^(W-1)
-            # - v(i) - v(A); clipped to [-cap, cap + 1], v(i) marks the same
-            # masks and the field neither borrows nor carries
-            single = min(max(singles[i], -cap), cap + 1)
-            marks |= ((up + fields.fill((1 << (w - 1)) - single) - table) & at) << step
-    return marks
-
-
-def _marked_flats(f: SetFunction, cyclic: bool) -> list[int]:
-    """The flats of ``f``, or its cyclic flats, in mask order."""
-    d, v = f._held
-    n = f.ground.n
-    packed = _pack(d, v)
-    if packed:
-        fields, table, _ = packed
-        singles = [v[1 << i] for i in range(n)] if cyclic else None
-        return fields.marked(fields.guard ^ _packed_marks(fields, table, singles))
-    return list(compress(f.ground.subsets(), (_cyclic_marks if cyclic else _flat_marks)(v, n)))
-
-
 def closure(f: SetFunction, subset: int) -> int:
     """Smallest flat containing ``subset``, for a polymatroid ``f``.
 
@@ -299,7 +176,7 @@ def is_flat(f: SetFunction, subset: int) -> bool:
 
 def flats(f: SetFunction) -> list[int]:
     """All flats, ordered by (cardinality, bit pattern)."""
-    return sorted(_marked_flats(f, cyclic=False), key=int.bit_count)
+    return sorted(_marked_flats(*f._held, cyclic=False), key=int.bit_count)
 
 
 def is_cyclic_flat(f: SetFunction, subset: int) -> bool:
@@ -325,19 +202,18 @@ def max_cyclic_flat(f: SetFunction, flat: int) -> int:
 def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     """The ranked lattice of cyclic flats together with the induced measure.
 
-    Two marking passes per element i run on the held ints, packed when
-    their span allows (on the ``Fraction`` values past the bound): A is no
-    flat where v(A) = v(A + i), as in ``_closure``, and A + i is not cyclic
-    where v(i) != 0 and v(A + i) - v(A) >= v(i), as in ``_cyclic_part``.
-    The unmarked masks are the members, in mask order, with the ``Fraction``
-    values as ranks.
+    The members are the masks A that are flats, where v(A + i) differs
+    from v(A) for every i outside A, as in ``_closure``, and cyclic, where
+    no non-loop i in A has v(A) - v(A - i) >= v(i), as in ``_cyclic_part``.
+    ``model._marked_flats`` gives them in mask order, and they take the
+    ``Fraction`` values as ranks.
 
     ``f`` must be a polymatroid.  The paper's theorem makes its cyclic flats
     a lattice, so the family is not checked again; on any other input the
     result is unspecified.  The CLI checks its input with
     ``check_polymatroid`` first.
     """
-    family = [(m, f(m)) for m in _marked_flats(f, cyclic=True)]
+    family = [(m, f(m)) for m in _marked_flats(*f._held, cyclic=True)]
     return RankedLattice(f.ground, family), induced_measure(f)
 
 

@@ -280,6 +280,33 @@ def test_helgason_rejects_fractional_input(tmp_path, capsys):
     assert "integer" in err
 
 
+def test_helgason_refuses_an_expansion_past_the_cap_before_building_it(tmp_path, capsys):
+    # a billion copies of x would take far more memory than the refusal
+    src = write_doc(
+        tmp_path / "big.json",
+        {"ground": ["x", "y"], "rank": {"": "0", "x": "1000000000", "y": "1", "x,y": "1000000000"}},
+    )
+    code, text, err = invoke(capsys, "helgason", src, "-o", str(tmp_path / "out.json"))
+    assert (code, text, err) == (1, "", "error: ground set has 1000000001 elements, limit is 20\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_labels_that_are_not_valid_unicode_are_usage_errors(tmp_path, capsys):
+    # JSON reads the escape \ud800 as a lone surrogate, which no file can hold
+    src = tmp_path / "s.json"
+    src.write_text(
+        '{"ground": ["a", "\\ud800"], '
+        '"rank": {"": "0", "a": "1", "\\ud800": "1", "a,\\ud800": "2"}}',
+        encoding="ascii",
+    )
+    lattice = tmp_path / "l.json"
+    for argv in (["check", str(src)], ["cyclic-flats", str(src), "--lattice", str(lattice)]):
+        code, text, err = invoke(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and "labels are valid Unicode" in err
+    assert not lattice.exists()
+
+
 def test_infiltrate_command(tmp_path, capsys):
     host = write_doc(
         tmp_path / "host.json",

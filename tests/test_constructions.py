@@ -72,6 +72,12 @@ def test_graphic_matroid_parallel_and_loops():
     assert empty.values == (0,)
 
 
+def test_graphic_matroid_holds_only_the_endpoints_of_its_edges():
+    # the vertex count only bounds the endpoints, however large it is
+    path = [(0, 1), (1, 2), (2, 2)]
+    assert graphic_matroid(10**12, path) == graphic_matroid(3, path)
+
+
 def test_generators_hold_the_ints_their_values_give():
     for f in (
         uniform_matroid(0, 0),

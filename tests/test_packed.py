@@ -22,8 +22,7 @@ from polyflats import (
 )
 from polyflats.files import read_polymatroid, write_polymatroid
 from polyflats.lattice import RankedLattice
-from polyflats.model import _common_denominator, _pack, _packing
-from polyflats.polymatroid import _marked_flats
+from polyflats.model import _common_denominator, _marked_flats, _pack, _packing
 
 import _oracles
 import corpus
@@ -48,7 +47,7 @@ def assert_kernels_match_references(f):
     assert report == _oracles.check_polymatroid_reference(f)
     assert flats(f) == by_size(m for m in f.ground.subsets() if _oracles.flat_by_scan(f, m))
     marked = [m for m in f.ground.subsets() if _oracles.cyclic_flat_by_scan(f, m)]
-    assert _marked_flats(f, cyclic=True) == marked
+    assert _marked_flats(*f._held, cyclic=True) == marked
     if report.is_polymatroid:
         lattice, mu = cyclic_flats(f)
         assert list(lattice.members) == by_size(marked)
@@ -96,12 +95,11 @@ def test_layouts_are_built_once_within_the_kept_bound():
         (16, 1, (5,)),
     ):
         fields = _packing(n, span)
+        guard = 1 << (fields.width - 1)
         for value in values:
             assert fields.fill(value) == _by_fields(fields, lambda m: value)
-            for i in (0, n - 1):
-                assert fields.fill(value, i) == _by_fields(fields, lambda m: 0 if m >> i & 1 else value)
         for i in range(n):
-            assert fields.guards(i) == fields.fill(1 << (fields.width - 1), i)
+            assert fields.guards(i) == _by_fields(fields, lambda m: 0 if m >> i & 1 else guard)
 
 
 @pytest.mark.parametrize("span, width", WIDTH_STEPS)
