@@ -223,15 +223,16 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     expanded = GroundSet(tuple(names))
     emap = ExpansionMap(f.ground, expanded, tuple(blocks))
 
-    lattice = RankedLattice(
-        expanded, ((emap.block_union(a), f.values[a]) for a in f.ground.subsets())
-    )
+    # Doubling by each block in turn lists the block unions in mask order.
+    unions = [0]
+    for block in blocks:
+        unions += [u | block for u in unions]
 
     singles = []
     for i in range(f.ground.n):
         unit = min(Fraction(1), f.values[1 << i])
         singles.extend([unit] * blocks[i].bit_count())
-    return lattice, Measure(expanded, singles), emap
+    return RankedLattice(expanded, zip(unions, f.values)), Measure(expanded, singles), emap
 
 
 def helgason_expand(f: SetFunction) -> tuple[SetFunction, ExpansionMap]:

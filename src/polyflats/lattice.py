@@ -23,11 +23,15 @@ loop compares ranks and point masses as ints over their common denominator
 measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
 mu(Z2) - mu(Z1), and C3 visits only the incomparable pairs, since a
 comparable pair holds it with equality.
+
+``validate_lattice`` and C3 share one walk, ``_bounds``, which yields each
+incomparable pair with its meet and join.  It reads the member order, which
+a lattice builds on first use and keeps (see ``RankedLattice``), so a
+lattice that only goes into a convolution never pays for it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -70,36 +74,43 @@ class ElementNotInLattice(LatticeError):
 
 
 class RankedLattice:
-    """A ranked family of subsets, sorted and with its order recorded.
+    """A ranked family of subsets, sorted, with its order built on demand.
 
     Members are sorted by (cardinality, bit pattern), so the bottom is
-    ``members[0]`` and the top is ``members[-1]``.  The order is held as two
-    tuples of bitsets over member indices: bit t of ``_below[i]`` is set when
-    member t lies inside member i, bit t of ``_above[i]`` when member t
-    contains member i (both include i itself).  The constructor checks
-    nothing; ``validate_lattice`` is the check for families from outside the
-    library, whose own families are lattices by construction.  Immutable.
+    ``members[0]`` and the top is ``members[-1]``.  The constructor only
+    sorts, since a convolution reads members and ranks alone.  ``_order()``
+    builds the order on its first call and keeps it, as two tuples of
+    bitsets over member indices: bit t of ``below[i]`` is set when member t
+    lies inside member i, bit t of ``above[i]`` when member t contains
+    member i (both include i itself).  The constructor checks nothing;
+    ``validate_lattice`` is the check for families from outside the
+    library, whose own families are lattices by construction.  Immutable
+    apart from that held order.
     """
 
-    __slots__ = ("ground", "members", "ranks", "_below", "_above", "_index")
+    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets")
 
     def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
         ranked = sorted(family, key=lambda pair: (pair[0].bit_count(), pair[0]))
-        members = tuple(m for m, _ in ranked)
-        k = len(members)
-        below, above = [0] * k, [0] * k
-        # Distinct members in cardinality order: Zi inside Zj forces i <= j.
-        for i, low in enumerate(members):
-            for j in range(i, k):
-                if not low & ~members[j]:
-                    below[j] |= 1 << i
-                    above[i] |= 1 << j
         self.ground = ground
-        self.members = members
+        self.members = tuple(m for m, _ in ranked)
         self.ranks = tuple(r for _, r in ranked)
-        self._below = tuple(below)
-        self._above = tuple(above)
-        self._index = {m: i for i, m in enumerate(members)}
+        self._index = {m: i for i, m in enumerate(self.members)}
+        self._bitsets = None
+
+    def _order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(below, above), built by one containment scan on the first call."""
+        if self._bitsets is None:
+            members, k = self.members, len(self.members)
+            below, above = [0] * k, [0] * k
+            # Distinct members in cardinality order: Zi inside Zj forces i <= j.
+            for i, low in enumerate(members):
+                for j in range(i, k):
+                    if not low & ~members[j]:
+                        below[j] |= 1 << i
+                        above[i] |= 1 << j
+            self._bitsets = tuple(below), tuple(above)
+        return self._bitsets
 
     @property
     def bottom(self) -> int:
@@ -129,30 +140,19 @@ class RankedLattice:
     def rank_of(self, mask: int) -> Fraction:
         return self.ranks[self._require(mask)]
 
-    def _meet(self, i: int, j: int) -> int | None:
-        # Cardinality order puts a greatest common lower bound last among
-        # the common lower bounds; it is one exactly when it holds them all.
-        common = self._below[i] & self._below[j]
-        glb = common.bit_length() - 1
-        return glb if common and not common & ~self._below[glb] else None
-
-    def _join(self, i: int, j: int) -> int | None:
-        common = self._above[i] & self._above[j]
-        lub = (common & -common).bit_length() - 1
-        return lub if common and not common & ~self._above[lub] else None
-
     def meet(self, first: int, second: int) -> int:
-        return self.members[self._meet(self._require(first), self._require(second))]
+        return self.members[_glb(self._order()[0], self._require(first), self._require(second))]
 
     def join(self, first: int, second: int) -> int:
-        return self.members[self._join(self._require(first), self._require(second))]
+        return self.members[_lub(self._order()[1], self._require(first), self._require(second))]
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: (low, high) member pairs, high covering low."""
+        below, above = self._order()
         out = []
-        for i, up in enumerate(self._above):
+        for i, up in enumerate(above):
             for j in bits(up & ~(1 << i)):
-                if up & self._below[j] == 1 << i | 1 << j:
+                if up & below[j] == 1 << i | 1 << j:
                     out.append((self.members[i], self.members[j]))
         return out
 
@@ -175,13 +175,29 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
-def _incomparable_pairs(lattice: RankedLattice) -> Iterator[tuple[int, int]]:
-    """Index pairs i < j of incomparable members, in index order: every
-    member containing Zi comes after it, and is in ``_above[i]``."""
-    k = len(lattice.members)
-    for i, above in enumerate(lattice._above):
-        for j in bits(((1 << k) - (2 << i)) & ~above):
-            yield i, j
+def _glb(below: tuple[int, ...], i: int, j: int) -> int | None:
+    # Cardinality order puts a greatest common lower bound last among the
+    # common lower bounds; it is one exactly when it holds them all.
+    common = below[i] & below[j]
+    glb = common.bit_length() - 1
+    return glb if common and not common & ~below[glb] else None
+
+
+def _lub(above: tuple[int, ...], i: int, j: int) -> int | None:
+    common = above[i] & above[j]
+    lub = (common & -common).bit_length() - 1
+    return lub if common and not common & ~above[lub] else None
+
+
+def _bounds(lattice: RankedLattice) -> Iterator[tuple[int, int, int | None, int | None]]:
+    """(i, j, meet, join) for each incomparable pair i < j, in index order,
+    meet and join as member indices or None: every member containing Zi
+    comes after it, and is in ``above[i]``."""
+    below, above = lattice._order()
+    k = len(above)
+    for i, up in enumerate(above):
+        for j in bits(((1 << k) - (2 << i)) & ~up):
+            yield i, j, _glb(below, i, j), _lub(above, i, j)
 
 
 def validate_lattice(
@@ -214,10 +230,10 @@ def validate_lattice(
 
     lattice = RankedLattice(ground, raw.items())
     members = lattice.members
-    for i, j in _incomparable_pairs(lattice):
-        if lattice._meet(i, j) is None:
+    for i, j, meet, join in _bounds(lattice):
+        if meet is None:
             raise NotALattice(ground, members[i], members[j], "no unique lower bound")
-        if lattice._join(i, j) is None:
+        if join is None:
             raise NotALattice(ground, members[i], members[j], "no unique upper bound")
     return lattice
 
@@ -233,10 +249,7 @@ def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
     base = lattice.ranks[0]
     if base == 0:
         return lattice
-    # The shift keeps the members and so the order: copy it, new ranks only.
-    shifted = copy.copy(lattice)
-    shifted.ranks = tuple(r - base for r in lattice.ranks)
-    return shifted
+    return RankedLattice(lattice.ground, ((m, r - base) for m, r in lattice.items()))
 
 
 @dataclass(frozen=True)
@@ -335,13 +348,13 @@ def _first_failure(condition: str, required, value) -> Verdict:
 def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
     """``diff lower 0`` then ``diff upper mu(Zj - Zi)`` for each nested pair.
 
-    The pairs Zi inside Zj come from ``_above[i]`` without Zi itself, so j
+    The pairs Zi inside Zj come from ``above[i]`` without Zi itself, so j
     ascends as in a scan over every pair.  ``weights`` holds the member
     measures, whose differences are the measures of the differences.
     """
-    members = lattice.members
+    members, above = lattice.members, lattice._order()[1]
     for i, z1 in enumerate(members):
-        for j in bits(lattice._above[i] & ~(1 << i)):
+        for j in bits(above[i] & ~(1 << i)):
             pair, diff = (z1, members[j]), ranks[j] - ranks[i]
             yield pair, diff, lower, 0, None
             yield pair, diff, upper, weights[j] - weights[i], None
@@ -350,9 +363,8 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
 def _incomparable(lattice: RankedLattice, ranks, masses):
     """The C3 inequality for each incomparable pair, in index order."""
     members = lattice.members
-    for i, j in _incomparable_pairs(lattice):
+    for i, j, meet, join in _bounds(lattice):
         z1, z2 = members[i], members[j]
-        meet, join = lattice._meet(i, j), lattice._join(i, j)
         correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
         yield (
             (z1, z2), ranks[i] + ranks[j], ">=", ranks[join] + ranks[meet] + correction, None

@@ -203,6 +203,15 @@ def test_helgason_block_union_carries_the_original_ranks():
             assert expanded.values[emap.block_union(a)] == f.values[a]
 
 
+def test_helgason_expansion_at_sixteen_elements():
+    # one member per block union, 2^16 of them: building the lattice must
+    # not compare them pairwise
+    f = uniform_matroid(3, 16)
+    expanded, emap = helgason_expand(f)
+    assert check_polymatroid(expanded).is_matroid
+    assert all(expanded.values[emap.block_union(a)] == f.values[a] for a in f.ground.subsets())
+
+
 def test_helgason_copy_ranks_cap_at_one():
     from polyflats import bits
 

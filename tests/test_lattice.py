@@ -18,13 +18,15 @@ from polyflats import (
     check_conditions,
     cyclic_flats,
     graphic_matroid,
+    helgason_expand,
     helgason_lattice,
     infiltrate_via_lattices,
     normalize_pointed,
+    reconstruction_failure,
     validate_lattice,
 )
 from polyflats import constructions
-from polyflats.files import lattice_dot
+from polyflats.files import lattice_dot, write_lattice
 from polyflats.model import _common_denominator
 
 import _oracles
@@ -473,8 +475,8 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
     def check(lat, kind):
         again = validate_lattice(lat.ground, lat.items())
         assert (again.members, again.ranks) == (lat.members, lat.ranks)
-        assert (again._below, again._above) == (lat._below, lat._above)
-        assert (lat._below, lat._above) == _oracles.order_bitsets_reference(lat.members)
+        assert again._order() == lat._order()
+        assert lat._order() == _oracles.order_bitsets_reference(lat.members)
         built[kind] += 1
 
     for _, lat, _ in corpus.harvested():
@@ -495,6 +497,40 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
     print(f"library-built lattices accepted by validate_lattice: {dict(built)}")
 
 
+def test_lattices_the_library_convolves_or_writes_never_build_an_order(monkeypatch, tmp_path):
+    # the constructions, the round trip and the lattice writer read members
+    # and ranks alone, so none of them may pay for the containment scan
+    def refuse(self):
+        raise AssertionError(f"order built for a lattice of {len(self)} members")
+
+    monkeypatch.setattr(RankedLattice, "_order", refuse)
+    for f in corpus.integer_corpus():
+        helgason_expand(f)
+    for spec in corpus.infiltration_specs():
+        infiltrate_via_lattices(spec)
+    for n in range(1, 11):
+        f = corpus.rational_sum_table(n, n)
+        assert reconstruction_failure(f) is None
+        write_lattice(cyclic_flats(f)[0], tmp_path / f"l{n}.json")
+
+
+def test_validation_conditions_and_covers_build_the_order_once(monkeypatch):
+    orders = []
+    build = RankedLattice._order
+
+    def record(self):
+        orders.append(build(self))
+        return orders[-1]
+
+    monkeypatch.setattr(RankedLattice, "_order", record)
+    _, built, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
+    lat = validate_lattice(built.ground, built.items())
+    assert check_conditions(lat, mu).theorem_conditions_pass()
+    assert lat.covers()
+    assert len(orders) >= 3 and all(order is orders[0] for order in orders)
+    assert orders[0] == _oracles.order_bitsets_reference(lat.members)
+
+
 def test_normalize_pointed_keeps_a_rank_below_the_bottom():
     # the shift checks no ranks: a member ranked below the bottom comes out
     # negative, C2 reports it, and nothing raises
@@ -502,7 +538,7 @@ def test_normalize_pointed_keeps_a_rank_below_the_bottom():
     lat = validate_lattice(g, [(0, 2), (0b01, 1), (0b11, 3)])
     shifted = normalize_pointed(lat)
     assert shifted.ranks == (0, -1, 1)
-    assert (shifted._below, shifted._above) == (lat._below, lat._above)
+    assert shifted._order() == lat._order()
     rep = check_conditions(shifted, Measure(g, [1, 1]))
     assert rep.c1.passed and not rep.c2.passed
     assert rep.c2.witness.subsets == (0, 0b01)
