@@ -30,6 +30,7 @@ from .model import (
     Measure,
     SetFunction,
     _check_ground_size,
+    _least_covers,
     _merged,
     bits,
     submasks,
@@ -76,50 +77,55 @@ def uniform_matroid(k: int, n: int, labels=None) -> SetFunction:
 
 
 def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
-    """Rank of an edge subset: the number of its edges that join two
-    components as they are added, which is the vertex count minus the
-    number of components of its subgraph.
+    """Rank of an edge subset: the vertex count minus the number of
+    components of its subgraph.
 
     ``edges`` is a sequence of (u, v) vertex pairs below ``vertices``;
     self-loops are allowed and come out as loops of the matroid.  Only the
     edges' endpoints are ever held, so ``vertices`` just bounds them.
+
+    The table is built one block per edge, the block of edge e = uv from
+    the block of the edges below it: rank(B + e) = rank(B) + 1 unless B
+    holds a u-v path, and B holds a path P exactly when the complement of B
+    lies inside the complement of P.  So a 0/1 table over complements, 0 at
+    the complement of each simple u-v path (found by a depth-first search),
+    is 0 after the superset-min transform exactly at the complements of the
+    B that hold a path; read backwards it is the gain of e on each B in mask
+    order.  Each simple path is a distinct edge subset, so the search finds
+    fewer paths than the block has masks.
     """
-    edge_list = [tuple(e) for e in edges]
+    edge_list = [tuple(e) if hasattr(e, "__iter__") else e for e in edges]
     if vertices < 0:
         raise BadParameters("vertex count must be >= 0")
     if len(edge_list) > MAX_GROUND_SIZE:
         raise BadParameters(f"at most {MAX_GROUND_SIZE} edges")
+    # the endpoints, numbered in the order they first appear
+    point: dict[int, int] = {}
+    ends = []
     for e in edge_list:
-        if len(e) != 2 or not all(isinstance(v, int) and 0 <= v < vertices for v in e):
+        is_pair = isinstance(e, tuple) and len(e) == 2
+        if not (is_pair and all(isinstance(v, int) and 0 <= v < vertices for v in e)):
             raise BadParameters(f"bad edge {e!r}")
+        ends.append(tuple(point.setdefault(v, len(point)) for v in e))
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(len(edge_list)))
     ground = _resolve_labels(len(edge_list), labels)
 
-    # the endpoints, numbered in the order they first appear
-    point: dict[int, int] = {}
-    ends = [
-        (point.setdefault(u, len(point)), point.setdefault(v, len(point))) for u, v in edge_list
-    ]
-
-    def rank(a: int) -> int:
-        parent = list(range(len(point)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
-        for i in bits(a):
-            u, v = find(ends[i][0]), find(ends[i][1])
-            if u != v:
-                parent[u] = v
-                merges += 1
-        return merges
-
-    return SetFunction._from_scaled(ground, 1, list(map(rank, ground.subsets())))
+    links: list[list[tuple[int, int]]] = [[] for _ in point]  # (edge bit, far end) per endpoint
+    ranks = [0]
+    for e, (u, v) in enumerate(ends):
+        gain = [1] * len(ranks)
+        paths = [(u, 0, 1 << u)]  # (last endpoint, edge mask, endpoints on it)
+        while paths:
+            x, path, on = paths.pop()
+            if x == v:
+                gain[~path] = 0  # index -1 - path: the complement of path among 2^e masks
+            else:
+                paths += [(y, path | bit, on | 1 << y) for bit, y in links[x] if not on >> y & 1]
+        ranks += list(map(add, ranks, reversed(_least_covers(1, gain))))
+        links[u].append((1 << e, v))
+        links[v].append((1 << e, u))
+    return SetFunction._from_scaled(ground, 1, ranks)
 
 
 def random_polymatroid(
@@ -228,10 +234,7 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     for block in blocks:
         unions += [u | block for u in unions]
 
-    singles = []
-    for i in range(f.ground.n):
-        unit = min(Fraction(1), f.values[1 << i])
-        singles.extend([unit] * blocks[i].bit_count())
+    singles = [min(Fraction(1), v) for v, w in zip(f.singletons(), widths) for _ in range(w)]
     return RankedLattice(expanded, zip(unions, f.values)), Measure(expanded, singles), emap
 
 

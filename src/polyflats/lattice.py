@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from operator import eq, ge, gt, le, lt
 from typing import Iterable, Iterator
 
@@ -91,11 +92,14 @@ class RankedLattice:
     __slots__ = ("ground", "members", "ranks", "_index", "_bitsets")
 
     def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
-        ranked = sorted(family, key=lambda pair: (pair[0].bit_count(), pair[0]))
+        """Sort the (mask, rank) pairs of ``family``; a mask that repeats
+        keeps its last rank.  The library's own families never repeat one,
+        and ``validate_lattice`` refuses a family that does."""
+        rank = dict(family)
         self.ground = ground
-        self.members = tuple(m for m, _ in ranked)
-        self.ranks = tuple(r for _, r in ranked)
-        self._index = {m: i for i, m in enumerate(self.members)}
+        self.members = tuple(sorted(sorted(rank), key=int.bit_count))
+        self.ranks = tuple(map(rank.__getitem__, self.members))
+        self._index = dict(zip(self.members, count()))
         self._bitsets = None
 
     def _order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -51,6 +51,29 @@ def submodular_all_pairs(f: SetFunction):
     return None
 
 
+def graphic_rank_reference(vertices: int, edges) -> list[int]:
+    """Rank of each edge subset, in mask order, by a union-find built
+    afresh for the subset: the number of its edges that join two components
+    as they are added.  ``vertices`` only bounds the endpoints."""
+    assert all(0 <= v < vertices for e in edges for v in e)
+    ranks = []
+    for mask in range(1 << len(edges)):
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                x = parent[x]
+            return x
+
+        merges = 0
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1 and find(u) != find(v):
+                parent[find(u)] = find(v)
+                merges += 1
+        ranks.append(merges)
+    return ranks
+
+
 def flat_by_scan(f: SetFunction, subset: int) -> bool:
     """True when every element outside strictly raises the rank."""
     for i in range(f.ground.n):

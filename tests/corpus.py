@@ -25,23 +25,27 @@ from polyflats import (
 from polyflats.model import _pack
 
 
+# (name, vertex count, edges) of the graphic matroids in the corpus
+GRAPHS = (
+    ("triangle", 3, ((0, 1), (1, 2), (0, 2))),
+    ("triangle-pendant", 4, ((0, 1), (1, 2), (0, 2), (2, 3))),
+    ("two-triangles", 4, ((0, 1), (1, 2), (0, 2), (1, 3), (2, 3))),
+    ("cycle-4", 4, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    ("cycle-5", 5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))),
+    ("parallel-pair", 2, ((0, 1), (0, 1))),
+    ("parallel-triple", 2, ((0, 1), (0, 1), (0, 1))),
+    ("path-3", 4, ((0, 1), (1, 2), (2, 3))),
+    ("loop-triangle", 3, ((0, 0), (0, 1), (1, 2), (0, 2))),
+    ("two-loops", 3, ((0, 0), (1, 1), (0, 1))),
+)
+
+
 def named_matroids() -> list[tuple[str, SetFunction]]:
     out = []
     for n in range(0, 6):
         for k in range(0, n + 1):
             out.append((f"uniform-{k}-{n}", uniform_matroid(k, n)))
-    out += [
-        ("triangle", graphic_matroid(3, [(0, 1), (1, 2), (0, 2)])),
-        ("triangle-pendant", graphic_matroid(4, [(0, 1), (1, 2), (0, 2), (2, 3)])),
-        ("two-triangles", graphic_matroid(4, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)])),
-        ("cycle-4", graphic_matroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
-        ("cycle-5", graphic_matroid(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])),
-        ("parallel-pair", graphic_matroid(2, [(0, 1), (0, 1)])),
-        ("parallel-triple", graphic_matroid(2, [(0, 1), (0, 1), (0, 1)])),
-        ("path-3", graphic_matroid(4, [(0, 1), (1, 2), (2, 3)])),
-        ("loop-triangle", graphic_matroid(3, [(0, 0), (0, 1), (1, 2), (0, 2)])),
-        ("two-loops", graphic_matroid(3, [(0, 0), (1, 1), (0, 1)])),
-    ]
+    out += [(name, graphic_matroid(vertices, edges)) for name, vertices, edges in GRAPHS]
     return out
 
 

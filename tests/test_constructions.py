@@ -1,6 +1,8 @@
 """Generators, block expansion, and infiltration."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -78,6 +80,53 @@ def test_graphic_matroid_holds_only_the_endpoints_of_its_edges():
     assert graphic_matroid(10**12, path) == graphic_matroid(3, path)
 
 
+def _random_multigraphs(count: int):
+    """Seeded multigraphs on up to 6 endpoints, some of them past 10^9, with
+    up to 14 edges: few endpoints make loops and parallel edges common."""
+    rng = random.Random(2024)
+    for _ in range(count):
+        pool = [rng.choice((i, 10**9 + i, 2**40 + i)) for i in range(rng.randint(1, 6))]
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 14))]
+        yield max(pool) + 1, edges
+
+
+def test_graphic_matroid_matches_the_union_find_reference():
+    graphs = [(vertices, edges) for _, vertices, edges in corpus.GRAPHS]
+    graphs += _random_multigraphs(200)
+    for vertices, edges in graphs:
+        expected = _oracles.graphic_rank_reference(vertices, edges)
+        assert graphic_matroid(vertices, edges).values == tuple(expected), (vertices, edges)
+    # the random graphs reach loops, parallel edges and endpoints past 10^9
+    edges = [e for _, es in graphs for e in es]
+    assert any(u == v for u, v in edges)
+    links = [[frozenset(e) for e in es if e[0] != e[1]] for _, es in graphs]
+    assert any(len(set(between)) < len(between) for between in links)
+    assert any(u > 10**9 for u, _ in edges)
+
+
+TWENTY_EDGE_SHAPES = {
+    # name: (vertices, edges, endpoints, components)
+    "K7 minus an edge": (7, [e for e in combinations(range(7), 2) if e != (5, 6)], 7, 1),
+    "20 parallel edges": (2, [(0, 1)] * 20, 2, 1),
+    "triple-parallel chain with closing edges": (
+        7, [(i, i + 1) for i in range(6) for _ in range(3)] + [(0, 6), (0, 3)], 7, 1
+    ),
+    "20 loops": (1, [(0, 0)] * 20, 1, 1),
+    "wheel W10": (
+        11, [(0, i) for i in range(1, 11)] + [(i, i % 10 + 1) for i in range(1, 11)], 11, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TWENTY_EDGE_SHAPES)
+def test_graphic_matroid_on_twenty_edges(name):
+    vertices, edges, endpoints, components = TWENTY_EDGE_SHAPES[name]
+    assert len(edges) == 20
+    f = graphic_matroid(vertices, edges)
+    assert check_polymatroid(f).is_matroid
+    assert f.values[-1] == endpoints - components
+
+
 def test_generators_hold_the_ints_their_values_give():
     for f in (
         uniform_matroid(0, 0),
@@ -96,6 +145,10 @@ def test_graphic_matroid_bad_parameters():
         graphic_matroid(2, [(0, 2)])
     with pytest.raises(BadParameters):
         graphic_matroid(2, [(0,)])
+    with pytest.raises(BadParameters, match="^bad edge 1$"):
+        graphic_matroid(3, [1])
+    with pytest.raises(BadParameters, match="^bad edge None$"):
+        graphic_matroid(3, [None])
     with pytest.raises(BadParameters, match="at most 20 edges"):
         graphic_matroid(2, [(0, 1)] * 21)
 

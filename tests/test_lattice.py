@@ -60,6 +60,24 @@ def test_validate_sorts_members_by_size():
     assert lat.join(0b01, 0b10) == 0b11
 
 
+def test_members_sort_by_size_then_mask_on_shuffled_families():
+    rng = random.Random(11)
+    g = ground("abcdefgh")
+    for _ in range(50):
+        masks = rng.sample(range(1 << 8), rng.randint(1, 60))
+        rank = {m: Fraction(rng.randint(0, 9), rng.randint(1, 3)) for m in masks}
+        lat = RankedLattice(g, rank.items())
+        assert lat.members == tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        assert lat.ranks == tuple(rank[m] for m in lat.members)
+        assert all(lat.members[lat._require(m)] == m for m in masks)
+
+
+def test_a_repeated_mask_keeps_its_last_rank():
+    lat = RankedLattice(ground("ab"), [(0b11, 2), (0, 0), (0b11, 3)])
+    assert lat.members == (0, 0b11)
+    assert lat.ranks == (0, 3)
+
+
 def test_validate_rejects_duplicates():
     g = ground("xy")
     with pytest.raises(DuplicateElement):
