@@ -3,12 +3,12 @@
 Exit codes:
 
 * 0 success.
-* 1 semantic failure: axioms, conditions or round trip do not hold, or a
-  construction refuses its input.  Any ``ValueError`` that is not an input
-  error lands here, among them ``NotInteger``, ``RankMismatch`` and
-  ``GroundOverlap``.
-* 2 unreadable or malformed input: ``FileFormatError``, ``LatticeError``,
-  ``GroundSetMismatch``, ``BadParameters`` and ``OSError``.
+* 1 semantic failure: axioms, conditions or round trip do not hold, or the
+  library raised a ``PolyflatsError`` that is not an ``InputError``, as a
+  construction does when it refuses its input.
+* 2 unreadable or malformed input: an ``InputError`` or an ``OSError``.
+
+Any other exception is a bug in the library and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .constructions import (
     uniform_matroid,
 )
 from .convolution import convolve, convolve_lattices, verify_main_theorem
-from .lattice import LatticeError, check_conditions
-from .model import GroundSetMismatch
+from .lattice import check_conditions
+from .model import InputError, PolyflatsError
 from .polymatroid import (
     check_polymatroid,
     coloops,
@@ -268,12 +268,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        files.FileFormatError, LatticeError, GroundSetMismatch, BadParameters, OSError
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except PolyflatsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,9 @@ from .lattice import RankedLattice
 from .model import (
     MAX_GROUND_SIZE,
     GroundSet,
+    InputError,
     Measure,
+    PolyflatsError,
     SetFunction,
     _check_ground_size,
     _least_covers,
@@ -38,19 +40,19 @@ from .model import (
 from .polymatroid import check_polymatroid
 
 
-class BadParameters(ValueError):
+class BadParameters(InputError):
     pass
 
 
-class NotInteger(ValueError):
+class NotInteger(PolyflatsError):
     """The block expansion needs an integer-valued polymatroid."""
 
 
-class RankMismatch(ValueError):
+class RankMismatch(PolyflatsError):
     """Host rank of the pivot and guest total rank differ."""
 
 
-class GroundOverlap(ValueError):
+class GroundOverlap(PolyflatsError):
     """Host and guest ground sets share labels."""
 
 
@@ -142,7 +144,8 @@ def random_polymatroid(
 
     ``sum`` mode adds weighted uniform ranks over random supports, which is
     a polymatroid by construction.  ``table`` mode (n <= 4) draws random
-    monotone integer tables capped at 4 and keeps the first submodular one.
+    monotone integer tables capped at 4 and keeps the first submodular one;
+    if none of 20,000 draws is, it raises ``PolyflatsError``.
     """
     if not 0 <= n <= 10:
         raise BadParameters("random polymatroids are limited to n <= 10")
@@ -183,7 +186,7 @@ def random_polymatroid(
         candidate = SetFunction(ground, values)
         if check_polymatroid(candidate).is_polymatroid:
             return candidate
-    raise RuntimeError("rejection sampling failed to find a table")
+    raise PolyflatsError("rejection sampling failed to find a table")
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
     """
     report = check_polymatroid(f)
     if not report.is_polymatroid:
-        raise ValueError("block expansion needs a polymatroid")
+        raise PolyflatsError("block expansion needs a polymatroid")
     if not report.integer_valued:
         raise NotInteger("block expansion needs an integer-valued polymatroid")
 
@@ -259,14 +262,14 @@ class InfiltrationSpec:
 
     def __post_init__(self):
         if self.pivot not in self.host.ground.names:
-            raise ValueError(f"pivot {self.pivot!r} is not in the host ground set")
+            raise PolyflatsError(f"pivot {self.pivot!r} is not in the host ground set")
         overlap = set(self.host.ground.names) & set(self.guest.ground.names)
         if overlap:
             raise GroundOverlap(f"host and guest share labels {sorted(overlap)}")
         if not check_polymatroid(self.host).is_polymatroid:
-            raise ValueError("host fails the polymatroid axioms")
+            raise PolyflatsError("host fails the polymatroid axioms")
         if not check_polymatroid(self.guest).is_polymatroid:
-            raise ValueError("guest fails the polymatroid axioms")
+            raise PolyflatsError("guest fails the polymatroid axioms")
         pivot_rank = self.host(self.host.ground.singleton(self.pivot))
         total = self.guest(self.guest.ground.full)
         if pivot_rank != total:
@@ -327,7 +330,7 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
     cover would overcharge the swallow branch by guest(empty).
     """
     if spec.guest.values[0] != 0:
-        raise ValueError("lattice route needs a guest with zero empty-set rank")
+        raise PolyflatsError("lattice route needs a guest with zero empty-set rank")
     ground = spec.result_ground()
     pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
     host_part = (1 << m) - 1

@@ -47,6 +47,7 @@ from .model import (
     FileFormatError,
     GroundSet,
     Measure,
+    PolyflatsError,
     SetFunction,
     _exact,
     _from_texts,
@@ -85,7 +86,7 @@ def parse_subset_key(ground: GroundSet, key) -> int:
         return 0
     try:
         return ground.subset(key.split(","))
-    except ValueError as exc:
+    except PolyflatsError as exc:
         raise FileFormatError(f"bad subset key {key!r}: {exc}") from None
 
 
@@ -100,7 +101,7 @@ def _ground_from_doc(doc) -> GroundSet:
             raise FileFormatError(f"label {label!r} contains a comma")
     try:
         return GroundSet(tuple(labels))
-    except ValueError as exc:
+    except PolyflatsError as exc:
         raise FileFormatError(str(exc)) from None
 
 
@@ -261,7 +262,7 @@ def lattice_from_doc(doc) -> RankedLattice:
             raise FileFormatError(f"bad member set {labels!r}")
         try:
             mask = ground.subset(labels)
-        except ValueError as exc:
+        except PolyflatsError as exc:
             raise FileFormatError(f"{exc} in member") from None
         family.append((mask, parse_rational(entry["rank"])))
     return validate_lattice(ground, family)

@@ -42,6 +42,7 @@ from typing import Iterable, Iterator
 from .model import (
     GroundSet,
     GroundSetMismatch,
+    InputError,
     Measure,
     Rational,
     _common_denominator,
@@ -52,7 +53,7 @@ from .model import (
 )
 
 
-class LatticeError(ValueError):
+class LatticeError(InputError):
     """Base for family-validation failures."""
 
 

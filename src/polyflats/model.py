@@ -86,7 +86,21 @@ MAX_GROUND_SIZE = 20
 Rational = Fraction | int | str
 
 
-class GroundSetMismatch(ValueError):
+class PolyflatsError(ValueError):
+    """A refusal: the input fails a check or a construction's contract.
+
+    The command line exits 1 on it, and 2 on its subclass ``InputError``.
+    Both derive from ``ValueError``, so ``except ValueError`` still catches
+    them.  Apart from the ``TypeError`` of ``to_fraction`` for a float, any
+    other exception the library raises is a bug.
+    """
+
+
+class InputError(PolyflatsError):
+    """Unreadable or malformed input: a file, a document or a parameter."""
+
+
+class GroundSetMismatch(InputError):
     """Raised when two objects that must share a ground set do not."""
 
 
@@ -99,7 +113,7 @@ def to_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-class FileFormatError(ValueError):
+class FileFormatError(InputError):
     """Malformed input, or a rational too long to write or read back."""
 
 
@@ -535,7 +549,7 @@ def _least_covers(d: int | None, h: list, weights: list = ()) -> list:
 
 def _check_ground_size(n: int) -> None:
     if n > MAX_GROUND_SIZE:
-        raise ValueError(f"ground set has {n} elements, limit is {MAX_GROUND_SIZE}")
+        raise PolyflatsError(f"ground set has {n} elements, limit is {MAX_GROUND_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -555,13 +569,13 @@ class GroundSet:
         position = {}
         for i, name in enumerate(self.names):
             if not isinstance(name, str) or not name:
-                raise ValueError(f"bad element label {name!r}: labels are non-empty strings")
+                raise PolyflatsError(f"bad element label {name!r}: labels are non-empty strings")
             try:
                 name.encode()
             except UnicodeEncodeError:  # a lone surrogate, which no file can hold
-                raise ValueError(f"bad element label {name!r}: labels are valid Unicode") from None
+                raise PolyflatsError(f"bad element label {name!r}: labels are valid Unicode") from None
             if name in position:
-                raise ValueError(f"duplicate element label {name!r}")
+                raise PolyflatsError(f"duplicate element label {name!r}")
             position[name] = i
         object.__setattr__(self, "_position", position)
 
@@ -582,7 +596,7 @@ class GroundSet:
         try:
             return self._position[label]
         except (KeyError, TypeError):  # TypeError: the label is unhashable
-            raise ValueError(f"unknown element {label!r}") from None
+            raise PolyflatsError(f"unknown element {label!r}") from None
 
     def singleton(self, label: str) -> int:
         return 1 << self.index(label)
@@ -593,7 +607,7 @@ class GroundSet:
         for label in labels:
             bit = 1 << self.index(label)
             if mask & bit:
-                raise ValueError(f"element {label!r} repeats")
+                raise PolyflatsError(f"element {label!r} repeats")
             mask |= bit
         return mask
 
@@ -611,7 +625,7 @@ class GroundSet:
 
     def check_mask(self, mask: int) -> int:
         if not 0 <= mask <= self.full:
-            raise ValueError(f"mask {mask} is outside the ground set (n={self.n})")
+            raise PolyflatsError(f"mask {mask} is outside the ground set (n={self.n})")
         return mask
 
 
@@ -630,7 +644,7 @@ class SetFunction:
     def __init__(self, ground: GroundSet, values: Iterable[Rational]):
         table = [to_fraction(v) for v in values]
         if len(table) != 1 << ground.n:
-            raise ValueError(
+            raise PolyflatsError(
                 f"need {1 << ground.n} values for a ground set of {ground.n} elements, "
                 f"got {len(table)}"
             )
@@ -688,10 +702,10 @@ class Measure:
     def __init__(self, ground: GroundSet, singleton: Iterable[Rational]):
         values = tuple(to_fraction(v) for v in singleton)
         if len(values) != ground.n:
-            raise ValueError(f"need {ground.n} singleton values, got {len(values)}")
+            raise PolyflatsError(f"need {ground.n} singleton values, got {len(values)}")
         for i, v in enumerate(values):
             if v < 0:
-                raise ValueError(f"negative measure {v} for element {ground.names[i]!r}")
+                raise PolyflatsError(f"negative measure {v} for element {ground.names[i]!r}")
         self.ground = ground
         self.singleton = values
 
@@ -723,7 +737,7 @@ def induced_measure(f: SetFunction) -> Measure:
     """The measure whose per-element values are f's singleton ranks."""
     for i, v in enumerate(f.singletons()):
         if v < 0:
-            raise ValueError(
+            raise PolyflatsError(
                 f"singleton rank of {f.ground.names[i]!r} is negative ({v}); "
                 "no induced measure exists"
             )

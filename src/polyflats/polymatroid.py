@@ -23,6 +23,7 @@ from operator import ne
 from .lattice import RankedLattice
 from .model import (
     Measure,
+    PolyflatsError,
     SetFunction,
     _axiom_violations,
     _marked_flats,
@@ -32,7 +33,7 @@ from .model import (
 )
 
 
-class NotAFlat(ValueError):
+class NotAFlat(PolyflatsError):
     """Raised when an operation that needs a flat is handed something else."""
 
 

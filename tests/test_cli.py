@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from polyflats import uniform_matroid
+import polyflats
+from polyflats import GroundSet, NotALattice, constructions, files, uniform_matroid
 from polyflats.cli import main
 from polyflats.files import dumps_canonical, polymatroid_to_doc, write_polymatroid
 
@@ -544,3 +546,73 @@ def test_unreadable_documents_are_usage_errors(tmp_path, capsys, command, conten
     assert (code, text) == (2, "")
     assert err.startswith("error: ") and message in err
     assert any(path in err for path in paths)
+
+
+# The exit code of each exception class the library exports, and of the two
+# others the command line maps: FileFormatError (exported by polyflats.files)
+# and OSError.
+EXIT_CODES = {
+    "BadParameters": 2,
+    "DuplicateElement": 2,
+    "ElementNotInLattice": 2,
+    "FileFormatError": 2,
+    "GroundSetMismatch": 2,
+    "InputError": 2,
+    "LatticeError": 2,
+    "NotALattice": 2,
+    "OSError": 2,
+    "GroundOverlap": 1,
+    "NotAFlat": 1,
+    "NotInteger": 1,
+    "PolyflatsError": 1,
+    "RankMismatch": 1,
+}
+
+
+def exported_exceptions():
+    exported = [getattr(polyflats, name) for name in polyflats.__all__]
+    classes = [obj for obj in exported if isinstance(obj, type)]
+    return [cls for cls in classes if issubclass(cls, BaseException)]
+
+
+def raising(exc):
+    def refuse(*args):
+        raise exc
+
+    return refuse
+
+
+def test_the_exit_code_table_covers_every_exported_exception():
+    names = {cls.__name__ for cls in exported_exceptions()}
+    assert names | {"FileFormatError", "OSError"} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    exported_exceptions() + [files.FileFormatError, OSError],
+    ids=lambda cls: cls.__name__,
+)
+def test_the_exception_class_sets_the_exit_code(monkeypatch, capsys, cls):
+    if cls is NotALattice:
+        exc = cls(GroundSet(("x", "y")), 1, 2, "no unique lower bound")
+    else:
+        exc = cls("refused")
+    monkeypatch.setattr(files, "read_polymatroid", raising(exc))
+    code, text, err = invoke(capsys, "check", "in.json")
+    assert (code, text, err) == (EXIT_CODES[cls.__name__], "", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize("cls", [ValueError, TypeError, KeyError, RuntimeError])
+def test_any_other_exception_escapes_as_a_bug(monkeypatch, capsys, cls):
+    monkeypatch.setattr(files, "read_polymatroid", raising(cls("library bug")))
+    with pytest.raises(cls, match="library bug"):
+        main(["check", "in.json"])
+    assert capsys.readouterr().err == ""
+
+
+def test_an_exhausted_rejection_sampler_exits_1(monkeypatch, capsys):
+    # every draw reported as failing the axioms, so all 20,000 are spent
+    failing = SimpleNamespace(is_polymatroid=False)
+    monkeypatch.setattr(constructions, "check_polymatroid", lambda f: failing)
+    code, text, err = invoke(capsys, "gen", "random", "-n", "1", "--mode", "table")
+    assert (code, text, err) == (1, "", "error: rejection sampling failed to find a table\n")

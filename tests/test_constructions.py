@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,9 @@ from polyflats import (
     GroundOverlap,
     GroundSet,
     InfiltrationSpec,
+    InputError,
     NotInteger,
+    PolyflatsError,
     RankMismatch,
     SetFunction,
     check_conditions,
@@ -25,6 +28,7 @@ from polyflats import (
     random_polymatroid,
     uniform_matroid,
 )
+from polyflats import constructions
 from polyflats.model import _common_denominator
 
 import _oracles
@@ -189,6 +193,15 @@ def test_random_polymatroid_bad_parameters():
         random_polymatroid(0, 5, mode="table")
     with pytest.raises(BadParameters):
         random_polymatroid(0, 3, mode="magic")
+
+
+def test_an_exhausted_rejection_sampler_is_a_refusal(monkeypatch):
+    # every draw reported as failing the axioms, so all 20,000 are spent
+    failing = SimpleNamespace(is_polymatroid=False)
+    monkeypatch.setattr(constructions, "check_polymatroid", lambda f: failing)
+    with pytest.raises(PolyflatsError, match="^rejection sampling failed to find a table$") as info:
+        random_polymatroid(0, 1, mode="table")
+    assert not isinstance(info.value, InputError)
 
 
 def test_helgason_worked_example():

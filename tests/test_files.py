@@ -437,6 +437,18 @@ def test_lattice_doc_validates_the_family():
         lattice_from_doc({"ground": ["x"], "elements": [{"set": [["x"]], "rank": "0"}]})
 
 
+def test_a_plain_value_error_in_a_member_escapes_the_lattice_reader(monkeypatch):
+    # only the ground set's refusals are rewrapped as malformed input; a bare
+    # ValueError is a bug and must not read as a bad file
+    def broken(self, labels):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(GroundSet, "subset", broken)
+    with pytest.raises(ValueError, match="^library bug$") as info:
+        lattice_from_doc({"ground": ["x"], "elements": [{"set": ["x"], "rank": "0"}]})
+    assert type(info.value) is ValueError
+
+
 def test_measure_doc_round_trip():
     g = GroundSet(("x", "y"))
     mu = Measure(g, [Fraction(1, 2), Fraction(3)])
