@@ -11,6 +11,13 @@ corpus and the CLI.  The two constructions are the interesting part:
 * ``infiltrate`` replaces a distinguished element of one polymatroid by a
   whole second polymatroid of equal total rank, by taking the pointwise
   minimum of the two ways a subset can pay for its part of the guest.
+
+Both infiltration routes read the host through one pivot split,
+``_pivot_split``: the host entries at the masks without the pivot, which in
+ascending order are the kept host masks of the result, and the entries at
+the same masks plus the pivot.  ``infiltrate`` takes the minimum of the two
+per guest mask; ``infiltrate_via_lattices`` ranks its first lattice's two
+halves with them.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .model import (
     _least_covers,
     _merged,
     bits,
-    submasks,
 )
 from .polymatroid import check_polymatroid
 
@@ -97,7 +103,7 @@ def graphic_matroid(vertices: int, edges, labels=None) -> SetFunction:
     fewer paths than the block has masks.
     """
     edge_list = [tuple(e) if hasattr(e, "__iter__") else e for e in edges]
-    if vertices < 0:
+    if not (isinstance(vertices, int) and vertices >= 0):
         raise BadParameters("vertex count must be >= 0")
     if len(edge_list) > MAX_GROUND_SIZE:
         raise BadParameters(f"at most {MAX_GROUND_SIZE} edges")
@@ -147,6 +153,8 @@ def random_polymatroid(
     monotone integer tables capped at 4 and keeps the first submodular one;
     if none of 20,000 draws is, it raises ``PolyflatsError``.
     """
+    if not all(isinstance(v, int) for v in (seed, n, terms, max_rank)):
+        raise BadParameters("seed, n, terms and max_rank must be ints")
     if not 0 <= n <= 10:
         raise BadParameters("random polymatroids are limited to n <= 10")
     if mode not in ("sum", "table"):
@@ -159,6 +167,8 @@ def random_polymatroid(
     rng = random.Random(1_000_003 * seed + 9_176 * n + (1 if mode == "table" else 0))
 
     if mode == "sum":
+        if max_rank < 1:
+            raise BadParameters("max_rank must be >= 1")
         summands = []
         for _ in range(rng.randint(2, max(2, terms))):
             support = rng.randrange(1, 1 << n)
@@ -287,12 +297,13 @@ class InfiltrationSpec:
         return GroundSet(kept + self.guest.ground.names)
 
 
-def _split(mask: int, pivot: int, m: int) -> tuple[int, int]:
-    """Split a result-ground mask into (host mask, guest mask): the low m
-    bits, with a 0 inserted at the pivot's index, and the bits above them."""
-    kept = mask & ((1 << m) - 1)
-    low = kept & ((1 << pivot) - 1)
-    return low | (kept ^ low) << 1, mask >> m
+def _pivot_split(entries, bit: int) -> tuple[list, list]:
+    """The host ``entries`` at the masks without the pivot ``bit``,
+    ascending, and those at each of the same masks plus the pivot.  The
+    first list is the kept host masks of the result, in order."""
+    without_pivot = [1] * bit + [0] * bit
+    without = list(compress(entries, cycle(without_pivot)))
+    return without, list(compress(islice(entries, bit, None), cycle(without_pivot)))
 
 
 def infiltrate(spec: InfiltrationSpec) -> SetFunction:
@@ -303,17 +314,13 @@ def infiltrate(spec: InfiltrationSpec) -> SetFunction:
 
         r(A) = min( host(A&M) + guest(A&P),  host((A&M) + pivot) )
 
-    The kept host masks of the result, in order, are the host masks without
-    the pivot in ascending order, so each guest mask's block of the result
-    is one ``map`` over two selections of the host table, on the ints both
-    tables hold over the lcm of their denominators.
+    Each guest mask's block of the result is one ``map`` over the two
+    halves of ``_pivot_split``, on the ints both tables hold over the lcm of
+    their denominators.
     """
     ground = spec.result_ground()
-    bit = spec.host.ground.singleton(spec.pivot)
     d, (host, guest) = _merged(spec.host._held, spec.guest._held)
-    without_pivot = [1] * bit + [0] * bit
-    without = list(compress(host, cycle(without_pivot)))
-    with_ = list(compress(islice(host, bit, None), cycle(without_pivot)))
+    without, with_ = _pivot_split(host, spec.host.ground.singleton(spec.pivot))
     values = list(
         chain.from_iterable(map(min, map(add, without, repeat(g)), with_) for g in guest)
     )
@@ -332,16 +339,10 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
     if spec.guest.values[0] != 0:
         raise PolyflatsError("lattice route needs a guest with zero empty-set rank")
     ground = spec.result_ground()
-    pivot, m = spec.host.ground.index(spec.pivot), spec.host.ground.n - 1
-    host_part = (1 << m) - 1
-    guest_part = ground.full & ~host_part
-
-    first: dict[int, Fraction] = {}
-    for small in submasks(host_part):
-        host_mask, _ = _split(small, pivot, m)
-        first[small] = spec.host.values[host_mask]
-        # With an empty guest the pivot is a loop, so the overwrite is a no-op.
-        first[small | guest_part] = spec.host.values[host_mask | 1 << pivot]
-    second = [(mask, spec.guest.values[mask >> m]) for mask in submasks(guest_part)]
-
-    return convolve_lattices(RankedLattice(ground, first.items()), RankedLattice(ground, second))
+    m = spec.host.ground.n - 1
+    guest_part = ground.full & ~((1 << m) - 1)
+    without, with_ = _pivot_split(spec.host.values, spec.host.ground.singleton(spec.pivot))
+    # With an empty guest the pivot is a loop, so the overwrite is a no-op.
+    first = chain(zip(range(1 << m), without), zip(range(guest_part, ground.full + 1), with_))
+    second = zip(range(0, guest_part + 1, 1 << m), spec.guest.values)
+    return convolve_lattices(RankedLattice(ground, first), RankedLattice(ground, second))

@@ -50,7 +50,7 @@ from .model import (
     PolyflatsError,
     SetFunction,
     _exact,
-    _from_texts,
+    _held,
     format_rational,
 )
 
@@ -201,7 +201,7 @@ def polymatroid_from_doc(doc) -> SetFunction:
         except (FileFormatError, TypeError):  # TypeError: an unhashable value
             pass
         else:
-            return _from_texts(ground, parsed, texts)
+            return SetFunction._from_held(ground, _held(texts, parsed))
     return _from_rank_items(ground, rank)
 
 
@@ -232,7 +232,7 @@ def _from_rank_items(ground: GroundSet, rank: dict) -> SetFunction:
         order = _file_order(ground)
         key = next(key for key, m in zip(order.keys, order.masks) if texts[m] is None)
         raise FileFormatError(f"missing subset {key!r}")
-    return _from_texts(ground, parsed, texts)
+    return SetFunction._from_held(ground, _held(texts, parsed))
 
 
 def lattice_to_doc(lattice: RankedLattice) -> dict:

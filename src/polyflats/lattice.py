@@ -24,14 +24,21 @@ measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
 mu(Z2) - mu(Z1), and C3 visits only the incomparable pairs, since a
 comparable pair holds it with equality.
 
-``validate_lattice`` and C3 share one walk, ``_bounds``, which yields each
-incomparable pair with its meet and join.  It reads the member order, which
-a lattice builds on first use and keeps (see ``RankedLattice``), so a
-lattice that only goes into a convolution never pays for it.
+The lattice laws are stated once, where they are read: ``RankedLattice``
+refuses an empty family, and its ``_meet`` and ``_join`` find a pair's
+bounds or raise ``NotALattice``.  ``meet``, ``join`` and the one walk over
+the incomparable pairs, ``_bounds``, all go through them, so
+``validate_lattice`` (which drains the walk) and the C3 scan of
+``check_conditions`` refuse a family that is not a lattice with the same
+first pair and text.  The convolutions read members and ranks alone, as
+their formulas hold for any ranked family.  The walk reads the member
+order, which a lattice builds on first use and keeps, so a lattice that
+only goes into a convolution never pays for it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -79,15 +86,18 @@ class RankedLattice:
     """A ranked family of subsets, sorted, with its order built on demand.
 
     Members are sorted by (cardinality, bit pattern), so the bottom is
-    ``members[0]`` and the top is ``members[-1]``.  The constructor only
-    sorts, since a convolution reads members and ranks alone.  ``_order()``
+    ``members[0]`` and the top is ``members[-1]``.  The constructor builds
+    no order, since a convolution reads members and ranks alone.  ``_order()``
     builds the order on its first call and keeps it, as two tuples of
     bitsets over member indices: bit t of ``below[i]`` is set when member t
     lies inside member i, bit t of ``above[i]`` when member t contains
-    member i (both include i itself).  The constructor checks nothing;
-    ``validate_lattice`` is the check for families from outside the
-    library, whose own families are lattices by construction.  Immutable
-    apart from that held order.
+    member i (both include i itself).  The constructor checks only that
+    the family is not empty; ``validate_lattice`` is the check for families
+    from outside the library, whose own families are lattices by
+    construction.  A pair without a meet or a join is refused with
+    ``NotALattice`` wherever one is asked for, by ``meet``, ``join`` and the
+    C3 scan of ``check_conditions`` alike.  Immutable apart from that held
+    order.
     """
 
     __slots__ = ("ground", "members", "ranks", "_index", "_bitsets")
@@ -97,6 +107,8 @@ class RankedLattice:
         keeps its last rank.  The library's own families never repeat one,
         and ``validate_lattice`` refuses a family that does."""
         rank = dict(family)
+        if not rank:
+            raise LatticeError("empty family: a lattice needs at least one member")
         self.ground = ground
         self.members = tuple(sorted(sorted(rank), key=int.bit_count))
         self.ranks = tuple(map(rank.__getitem__, self.members))
@@ -146,10 +158,31 @@ class RankedLattice:
         return self.ranks[self._require(mask)]
 
     def meet(self, first: int, second: int) -> int:
-        return self.members[_glb(self._order()[0], self._require(first), self._require(second))]
+        below = self._order()[0]
+        return self.members[self._meet(below, self._require(first), self._require(second))]
 
     def join(self, first: int, second: int) -> int:
-        return self.members[_lub(self._order()[1], self._require(first), self._require(second))]
+        above = self._order()[1]
+        return self.members[self._join(above, self._require(first), self._require(second))]
+
+    def _meet(self, below: tuple[int, ...], i: int, j: int) -> int:
+        """The index of the greatest lower bound of members i and j, read
+        from ``below`` of the order.  Cardinality order puts it last among
+        their common lower bounds; it is one exactly when it holds them all."""
+        common = below[i] & below[j]
+        glb = common.bit_length() - 1
+        if common and not common & ~below[glb]:
+            return glb
+        raise NotALattice(self.ground, self.members[i], self.members[j], "no unique lower bound")
+
+    def _join(self, above: tuple[int, ...], i: int, j: int) -> int:
+        """The index of the least upper bound, read from ``above``: the first
+        common upper bound, if it lies inside all of them."""
+        common = above[i] & above[j]
+        lub = (common & -common).bit_length() - 1
+        if common and not common & ~above[lub]:
+            return lub
+        raise NotALattice(self.ground, self.members[i], self.members[j], "no unique upper bound")
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: (low, high) member pairs, high covering low."""
@@ -180,29 +213,16 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
-def _glb(below: tuple[int, ...], i: int, j: int) -> int | None:
-    # Cardinality order puts a greatest common lower bound last among the
-    # common lower bounds; it is one exactly when it holds them all.
-    common = below[i] & below[j]
-    glb = common.bit_length() - 1
-    return glb if common and not common & ~below[glb] else None
-
-
-def _lub(above: tuple[int, ...], i: int, j: int) -> int | None:
-    common = above[i] & above[j]
-    lub = (common & -common).bit_length() - 1
-    return lub if common and not common & ~above[lub] else None
-
-
-def _bounds(lattice: RankedLattice) -> Iterator[tuple[int, int, int | None, int | None]]:
+def _bounds(lattice: RankedLattice) -> Iterator[tuple[int, int, int, int]]:
     """(i, j, meet, join) for each incomparable pair i < j, in index order,
-    meet and join as member indices or None: every member containing Zi
-    comes after it, and is in ``above[i]``."""
+    meet and join as member indices: every member containing Zi comes after
+    it, and is in ``above[i]``.  The first pair without a meet, or else
+    without a join, raises ``NotALattice``."""
     below, above = lattice._order()
-    k = len(above)
+    meet, join, k = lattice._meet, lattice._join, len(above)
     for i, up in enumerate(above):
         for j in bits(((1 << k) - (2 << i)) & ~up):
-            yield i, j, _glb(below, i, j), _lub(above, i, j)
+            yield i, j, meet(below, i, j), join(above, i, j)
 
 
 def validate_lattice(
@@ -212,12 +232,11 @@ def validate_lattice(
 
     Each member must be a subset of ``ground``, appear once (else
     DuplicateElement) and carry a rank >= 0, and the family must not be
-    empty.  Then every pair i < j in member order needs a greatest lower
-    bound (the last common lower bound, if it contains all of them) and a
-    least upper bound (the first common upper bound, if it lies inside all
-    of them); NotALattice names the first offending pair and the reason.
-    Only incomparable pairs are visited, since a nested pair has its lower
-    member as meet and its upper member as join.
+    empty (refused by ``RankedLattice``).  Then every pair i < j in member
+    order needs a meet and a join: ``_bounds`` finds them, and NotALattice
+    names the first offending pair and the reason.  Only incomparable pairs
+    are visited, since a nested pair has its lower member as meet and its
+    upper member as join.
     """
     raw: dict[int, Fraction] = {}
     for mask, rank in elements:
@@ -230,16 +249,8 @@ def validate_lattice(
                 f"negative rank {value} for member {ground.describe(mask)}"
             )
         raw[mask] = value
-    if not raw:
-        raise LatticeError("empty family: a lattice needs at least one member")
-
     lattice = RankedLattice(ground, raw.items())
-    members = lattice.members
-    for i, j, meet, join in _bounds(lattice):
-        if meet is None:
-            raise NotALattice(ground, members[i], members[j], "no unique lower bound")
-        if join is None:
-            raise NotALattice(ground, members[i], members[j], "no unique upper bound")
+    deque(_bounds(lattice), maxlen=0)  # each pair's meet and join, or NotALattice
     return lattice
 
 
@@ -365,10 +376,10 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
             yield pair, diff, upper, weights[j] - weights[i], None
 
 
-def _incomparable(lattice: RankedLattice, ranks, masses):
-    """The C3 inequality for each incomparable pair, in index order."""
-    members = lattice.members
-    for i, j, meet, join in _bounds(lattice):
+def _incomparable(members: tuple[int, ...], pairs, ranks, masses):
+    """The C3 inequality for each of the incomparable ``pairs`` that
+    ``_bounds`` yields, in index order."""
+    for i, j, meet, join in pairs:
         z1, z2 = members[i], members[j]
         correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
         yield (
@@ -384,7 +395,9 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     Ranks and point masses are read as ints over their common denominator
     d, or as the ``Fraction`` values when d would be too long (see
     ``model``); each condition is one loop over its inequalities, and only
-    a witness turns back into ``Fraction``.
+    a witness turns back into ``Fraction``.  The C3 scan walks every
+    incomparable pair, past its witness too, so a family that is not a
+    lattice raises ``NotALattice`` with validation's first pair and text.
     """
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
@@ -394,11 +407,14 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     value = partial(_exact, d)
     weights = [sum(masses[a] for a in bits(z)) for z in members]
     outside = lattice.ground.full & ~members[0]
+    pairs = _bounds(lattice)
+    c3 = _first_failure("C3", _incomparable(members, pairs, ranks, masses), value)
+    deque(pairs, maxlen=0)  # the pairs past a C3 witness still need their bounds
     return ConditionReport(
         c1=_first_failure("C1", [((members[0],), ranks[0], "==", 0, None)], value),
         c2=_first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value),
         cstar=_first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value),
-        c3=_first_failure("C3", _incomparable(lattice, ranks, masses), value),
+        c3=c3,
         c4=_first_failure(
             "C4",
             (((z,), masses[a], "<=", r, a) for z, r in zip(members, ranks) for a in bits(z)),

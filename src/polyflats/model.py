@@ -17,12 +17,17 @@ between sums of values, so verdicts and first witnesses do not change.  The
 pair (d, ints), or d None and the ``Fraction`` values past the bound below,
 is the one form a ``SetFunction`` holds, and this module alone reads d: the
 others only pass it on, to the 2^n entry points below and
-``SetFunction._from_scaled``.  ``SetFunction(ground, values)`` and the
-rank-file reader's ``_from_texts`` work the pair out from exact values;
-``_from_scaled`` takes ints over any d, or exact values with d None, and is
-the one place that reduces them to lowest terms with ``_lowest_terms`` or
-falls back to the ``Fraction`` values.  Equal tables therefore hold equal
-pairs, so equality, hashing and ``is_integer_valued`` read the pair alone.
+``SetFunction._from_scaled``.  The bound is applied by ``_lcm_or_none``
+alone, for its two callers.  ``_common_denominator`` works the pair out
+from a list of exact values, as ``SetFunction(ground, values)`` does, and
+``_keyed_lcm`` the bound from keyed entries, each distinct entry's
+denominator read once.  ``_held``, the rank-file reader's one step, scales
+each distinct ``Fraction`` once over it, and past 512 bits
+``_lowest_terms`` hands ``_keyed_lcm`` its reduced ints with their
+denominators, found by one gcd each.  ``_from_scaled`` takes ints over any d, or exact values with d
+None, and brings them to lowest terms with ``_lowest_terms`` or falls back
+to the ``Fraction`` values.  Equal tables therefore hold equal pairs, so
+equality, hashing and ``is_integer_valued`` read the pair alone.
 ``_exact`` turns a held entry back into its value, the ``Fraction`` view
 ``values`` is built from the pair only when it is asked for, one
 ``Fraction`` per distinct value, and ``_merged`` brings held tables onto
@@ -110,7 +115,12 @@ def to_fraction(value: Rational) -> Fraction:
         raise TypeError(f"refusing float {value!r}: the library is exact-only")
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise InputError(f"bad rational {value!r}") from None
+    except ZeroDivisionError:
+        raise InputError(f"bad rational {value!r}: zero denominator") from None
 
 
 class FileFormatError(InputError):
@@ -134,15 +144,15 @@ def format_rational(value: Fraction) -> str:
 _LCM_BITS_SLACK = 512
 
 
-def _lcm_or_none(denominators: set[int], total_bits: Callable[[], int], size: int) -> int | None:
+def _lcm_or_none(denominators: set[int], lengths: Iterable[int], size: int) -> int | None:
     """The lcm of the distinct ``denominators`` of a table of ``size`` entries,
     or None when it has more bits than the bound above.
 
-    ``total_bits()`` is the summed bit length of all ``size`` denominators,
-    repeats included; it is asked for only when the lcm passes
-    ``_LCM_BITS_SLACK`` bits, since the bound is never below that.  The lcm
-    only grows with each denominator, so the loop can stop as soon as it
-    passes the largest bound any mean allows.
+    ``lengths`` yields the bit length of each of the ``size`` denominators,
+    repeats included, and is read only when the lcm passes
+    ``_LCM_BITS_SLACK`` bits, since the bound is never below that; callers
+    pass a lazy ``map``.  The lcm only grows with each denominator, so the
+    loop can stop as soon as it passes the largest bound any mean allows.
     """
     cap = _LCM_BITS_SLACK + 2 * max(map(int.bit_length, denominators))
     d = 1
@@ -150,9 +160,9 @@ def _lcm_or_none(denominators: set[int], total_bits: Callable[[], int], size: in
         d = math.lcm(d, q)
         if d.bit_length() > cap:
             return None
-    if d.bit_length() > _LCM_BITS_SLACK + 2 * total_bits() // size:
-        return None
-    return d
+    if d.bit_length() <= _LCM_BITS_SLACK:
+        return d
+    return None if d.bit_length() > _LCM_BITS_SLACK + 2 * sum(lengths) // size else d
 
 
 def _common_denominator(values: tuple[Fraction, ...]) -> tuple[int | None, list]:
@@ -165,9 +175,7 @@ def _common_denominator(values: tuple[Fraction, ...]) -> tuple[int | None, list]
     """
     denominators = [v.denominator for v in values]
     distinct = set(denominators)
-    d = _lcm_or_none(
-        distinct, lambda: sum(map(int.bit_length, denominators)), len(values)
-    )
+    d = _lcm_or_none(distinct, map(int.bit_length, denominators), len(values))
     if d is None:
         return None, list(values)
     if d == 1:
@@ -189,34 +197,30 @@ def _lowest_terms(d: int, scaled: list[int]) -> tuple[int | None, list]:
         smaller = {x: x // g for x in distinct}
         scaled = list(map(smaller.__getitem__, scaled))
         distinct = set(smaller.values())
-    if d.bit_length() > _LCM_BITS_SLACK:
-        # only past this length can the bound refuse d
-        denominator = {x: d // math.gcd(x, d) for x in distinct}
-        length = {x: q.bit_length() for x, q in denominator.items()}
-
-        def total() -> int:
-            return sum(map(length.__getitem__, scaled))
-
-        if _lcm_or_none(set(denominator.values()), total, len(scaled)) is None:
+    if d.bit_length() > _LCM_BITS_SLACK:  # only past this length can the bound refuse d
+        if _keyed_lcm(scaled, {x: d // math.gcd(x, d) for x in distinct}) is None:
             value = {x: Fraction(x, d) for x in distinct}
             return None, list(map(value.__getitem__, scaled))
     return d, scaled
 
 
-def _from_texts(ground: GroundSet, parsed: dict, texts: list) -> SetFunction:
-    """The table whose entry at mask m is ``parsed[texts[m]]``, each
-    distinct value scaled once to the ints it holds."""
-    length = {text: q.denominator.bit_length() for text, q in parsed.items()}
-    d = _lcm_or_none(
-        {q.denominator for q in parsed.values()},
-        lambda: sum(map(length.__getitem__, texts)),
-        len(texts),
-    )
-    if d is None:
-        scaled = parsed
-    else:
-        scaled = {text: q.numerator * (d // q.denominator) for text, q in parsed.items()}
-    return SetFunction._from_scaled(ground, d, list(map(scaled.__getitem__, texts)))
+def _keyed_lcm(entries: list, denominator: dict) -> int | None:
+    """``_lcm_or_none`` of the table whose entry at mask m has the
+    denominator ``denominator[entries[m]]``, in lowest terms; each distinct
+    entry's bit length is read once."""
+    length = {e: q.bit_length() for e, q in denominator.items()}
+    return _lcm_or_none(set(denominator.values()), map(length.__getitem__, entries), len(entries))
+
+
+def _held(entries: list, value: dict) -> tuple[int | None, list]:
+    """The held pair of the table whose entry at mask m is
+    ``value[entries[m]]``: each distinct entry's ``Fraction`` is scaled
+    once, to an int over the lcm of the denominators, or kept past the
+    bound.  The pair is in lowest terms, as each ``Fraction`` is."""
+    d = _keyed_lcm(entries, {e: q.denominator for e, q in value.items()})
+    if d is not None:
+        value = {e: q.numerator * (d // q.denominator) for e, q in value.items()}
+    return d, list(map(value.__getitem__, entries))
 
 
 def _exact(d: int | None, x) -> Fraction:
@@ -624,6 +628,8 @@ class GroundSet:
         return "{" + ",".join(self.sorted_labels(mask)) + "}"
 
     def check_mask(self, mask: int) -> int:
+        if not isinstance(mask, int):
+            raise PolyflatsError(f"mask {mask!r} is not an int")
         if not 0 <= mask <= self.full:
             raise PolyflatsError(f"mask {mask} is outside the ground set (n={self.n})")
         return mask
@@ -652,13 +658,18 @@ class SetFunction:
         self._held = _common_denominator(table)
 
     @classmethod
+    def _from_held(cls, ground: GroundSet, held: tuple[int | None, list]) -> "SetFunction":
+        """The table that holds ``held``, a pair already in its form."""
+        f = cls.__new__(cls)
+        f.ground, f._values, f._held = ground, None, held
+        return f
+
+    @classmethod
     def _from_scaled(cls, ground: GroundSet, d: int | None, scaled: list) -> "SetFunction":
         """The table of the values ``scaled[m] / d``, or of the exact values
         ``scaled`` when d is None, brought to its held pair."""
-        f = cls.__new__(cls)
-        f.ground, f._values = ground, None
-        f._held = _common_denominator(scaled) if d is None else _lowest_terms(d, scaled)
-        return f
+        held = _common_denominator(scaled) if d is None else _lowest_terms(d, scaled)
+        return cls._from_held(ground, held)
 
     @property
     def values(self) -> tuple[Fraction, ...]:

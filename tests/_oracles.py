@@ -22,7 +22,6 @@ from polyflats import (
     convolve,
     is_cyclic_flat,
 )
-from polyflats.constructions import _split
 from polyflats.files import (
     FileFormatError,
     _ground_from_doc,
@@ -356,6 +355,14 @@ def polymatroid_from_doc_reference(doc) -> SetFunction:
         labels, _ = _ordered(ground, missing)[0]
         raise FileFormatError(f"missing subset {','.join(labels)!r}")
     return SetFunction(ground, values)
+
+
+def _split(mask: int, pivot: int, m: int) -> tuple[int, int]:
+    """Split a result-ground mask into (host mask, guest mask): the low m
+    bits, with a 0 inserted at the pivot's index, and the bits above them."""
+    kept = mask & ((1 << m) - 1)
+    low = kept & ((1 << pivot) - 1)
+    return low | (kept ^ low) << 1, mask >> m
 
 
 def infiltrate_reference(spec) -> SetFunction:

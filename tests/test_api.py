@@ -6,8 +6,27 @@ import builtins
 import importlib
 from pathlib import Path
 
+import pytest
+
 import polyflats
-from polyflats import PolyflatsError
+from polyflats import (
+    BadParameters,
+    GroundSet,
+    InputError,
+    LatticeError,
+    Measure,
+    NotALattice,
+    PolyflatsError,
+    RankedLattice,
+    SetFunction,
+    check_conditions,
+    convolve,
+    graphic_matroid,
+    random_polymatroid,
+    to_fraction,
+    validate_lattice,
+    verify_main_theorem,
+)
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "polyflats").glob("*.py"))
 
@@ -122,3 +141,66 @@ def test_every_exception_class_is_a_refusal():
     assert len(defined) == 13
     for cls in defined:
         assert issubclass(cls, PolyflatsError), cls
+
+
+XY = GroundSet(("x", "y"))
+# {x} and {y} have no common lower bound, and no common upper bound either
+NO_MEET = [(0b01, 1), (0b10, 1)]
+MEET_TEXT = "no unique lower bound for {x} and {y}"
+
+# Malformed input to the public API, each with the refusal it must meet:
+# the class and, where one is given, the exact text
+MALFORMED = {
+    "conditions on a family without a meet": (
+        lambda: check_conditions(RankedLattice(XY, NO_MEET), Measure(XY, [1, 1])),
+        NotALattice,
+        MEET_TEXT,
+    ),
+    "round trip on a family without a meet": (
+        lambda: verify_main_theorem(RankedLattice(XY, NO_MEET), Measure(XY, [1, 1])),
+        NotALattice,
+        MEET_TEXT,
+    ),
+    "meet of a pair without one": (
+        lambda: RankedLattice(XY, NO_MEET).meet(0b01, 0b10), NotALattice, MEET_TEXT
+    ),
+    "join of a pair without one": (
+        lambda: RankedLattice(XY, NO_MEET).join(0b10, 0b01),
+        NotALattice,
+        "no unique upper bound for {y} and {x}",
+    ),
+    "convolution of an empty family": (
+        lambda: convolve(RankedLattice(XY, []), Measure(XY, [1, 1])),
+        LatticeError,
+        "empty family: a lattice needs at least one member",
+    ),
+    "a word for a rational": (lambda: to_fraction("x"), InputError, "bad rational 'x'"),
+    "a zero denominator": (
+        lambda: to_fraction("1/0"), InputError, "bad rational '1/0': zero denominator"
+    ),
+    "a word in a table": (lambda: SetFunction(XY, [0, 1, 1, "x"]), InputError, "bad rational 'x'"),
+    "a zero denominator in a measure": (
+        lambda: Measure(XY, ["1/0", 1]), InputError, "bad rational '1/0': zero denominator"
+    ),
+    "a word for a member's rank": (
+        lambda: validate_lattice(XY, [(0, "x")]), InputError, "bad rational 'x'"
+    ),
+    "a mask that is not an int": (
+        lambda: validate_lattice(XY, [("x", 0)]), PolyflatsError, "mask 'x' is not an int"
+    ),
+    "no vertex count": (lambda: graphic_matroid(None, []), BadParameters, None),
+    "a vertex count as text": (lambda: graphic_matroid("3", [(0, 1)]), BadParameters, None),
+    "a fractional ground size": (lambda: random_polymatroid(1, 2.5), BadParameters, None),
+    "a seed as text": (lambda: random_polymatroid("x", 3), BadParameters, None),
+    "a zero rank cap": (lambda: random_polymatroid(1, 3, max_rank=0), BadParameters, None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_to_the_library_is_refused(case):
+    call, refusal, text = MALFORMED[case]
+    with pytest.raises(PolyflatsError) as info:
+        call()
+    assert isinstance(info.value, refusal)
+    if text is not None:
+        assert str(info.value) == text

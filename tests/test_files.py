@@ -22,6 +22,7 @@ from polyflats import (
     uniform_matroid,
     validate_lattice,
 )
+from polyflats import model
 from polyflats.files import (
     FileFormatError,
     _KEPT_ORDER_BITS,
@@ -370,6 +371,35 @@ def test_polymatroid_file_round_trip_is_byte_identical(tmp_path):
     write_polymatroid(read_polymatroid(first), second)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().endswith("\n")
+
+
+def test_rank_files_read_to_their_held_pairs_without_a_second_reduction(tmp_path, monkeypatch):
+    # the keyed builder scales each distinct value once to a pair in lowest
+    # terms, so neither reader path hands its pair to _lowest_terms again;
+    # the tables cover packed ints, ints past 512 bits and the Fraction form
+    wide = corpus.large_primes(5)
+    tables = [
+        *corpus.full_corpus()[::3],
+        *map(corpus.coprime_denominator_table, range(4, 8)),
+        corpus.small_denominator_table(6),
+        SetFunction(GroundSet(("a", "b", "c")), [Fraction(m, wide[m % 5]) for m in range(8)]),
+    ]
+    paths = []
+    for i, f in enumerate(tables):
+        paths.append(tmp_path / f"{i}.json")
+        write_polymatroid(f, paths[-1])
+    assert {corpus.kernel_path(f) for f in tables} >= {"packed8", "fractions"}
+    assert any(f._held[0] and f._held[0].bit_length() > 512 for f in tables)
+
+    def refuse(d, scaled):
+        raise AssertionError("a rank file's pair was reduced again")
+
+    monkeypatch.setattr(model, "_lowest_terms", refuse)
+    for f, path in zip(tables, paths):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        reversed_doc = {"ground": doc["ground"], "rank": dict(reversed(doc["rank"].items()))}
+        assert read_polymatroid(path)._held == f._held
+        assert polymatroid_from_doc(reversed_doc)._held == f._held
 
 
 def test_tables_read_from_files_never_build_their_fraction_view(tmp_path, monkeypatch):

@@ -88,23 +88,39 @@ def test_validate_rejects_negative_rank_and_empty_family():
     g = ground("xy")
     with pytest.raises(LatticeError):
         validate_lattice(g, [(0, -1)])
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError) as info:
         validate_lattice(g, [])
+    # the lattice itself refuses the empty family, with the same text
+    with pytest.raises(LatticeError) as unvalidated:
+        RankedLattice(g, [])
+    assert str(unvalidated.value) == str(info.value)
+
+
+def _refused_the_same_without_validation(g, elements, refused):
+    """The condition check on the unvalidated family meets the same pair
+    in its C3 scan and gives the same text."""
+    with pytest.raises(NotALattice) as info:
+        check_conditions(RankedLattice(g, elements), mu_from(g, [1] * g.n))
+    assert str(info.value) == str(refused)
 
 
 def test_validate_rejects_missing_meet():
     g = ground("xy")
+    elements = [(0b01, 1), (0b10, 1), (0b11, 2)]
     with pytest.raises(NotALattice) as info:
-        validate_lattice(g, [(0b01, 1), (0b10, 1), (0b11, 2)])
+        validate_lattice(g, elements)
     assert info.value.reason == "no unique lower bound"
     assert {info.value.first, info.value.second} == {0b01, 0b10}
+    _refused_the_same_without_validation(g, elements, info.value)
 
 
 def test_validate_rejects_missing_join():
     g = ground("xyz")
+    elements = [(0, 0), (0b001, 1), (0b010, 1)]
     with pytest.raises(NotALattice) as info:
-        validate_lattice(g, [(0, 0), (0b001, 1), (0b010, 1)])
+        validate_lattice(g, elements)
     assert info.value.reason == "no unique upper bound"
+    _refused_the_same_without_validation(g, elements, info.value)
 
 
 def test_rank_of_unknown_member():
@@ -435,6 +451,16 @@ def _order_matches_pair_scan(g, elements) -> str | None:
         assert (got.first, got.second, got.reason, str(got)) == (
             expected.first, expected.second, expected.reason, str(expected)
         )
+        # the same family unvalidated: the condition check refuses it at the
+        # same pair, whatever C3 finds before it, and so does the bound asked for
+        lat = RankedLattice(g, elements)
+        with pytest.raises(NotALattice) as info:
+            check_conditions(lat, Measure(g, [0] * g.n))
+        assert str(info.value) == str(expected)
+        bound = lat.meet if got.reason == "no unique lower bound" else lat.join
+        with pytest.raises(NotALattice) as info:
+            bound(got.first, got.second)
+        assert str(info.value) == str(expected)
         return got.reason
     lat = validate_lattice(g, elements)
     members = lat.members

@@ -16,7 +16,7 @@ from polyflats import (
     submasks,
     to_fraction,
 )
-from polyflats.model import _LCM_BITS_SLACK, _common_denominator, _halves
+from polyflats.model import _LCM_BITS_SLACK, _common_denominator, _halves, _lcm_or_none
 
 import corpus
 
@@ -25,6 +25,10 @@ def test_to_fraction_accepts_exact_inputs():
     assert to_fraction(3) == Fraction(3)
     assert to_fraction("5/2") == Fraction(5, 2)
     assert to_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    # the spellings Fraction itself takes stay accepted
+    assert to_fraction("0.25") == Fraction(1, 4)
+    assert to_fraction("1e3") == 1000
+    assert to_fraction(" 7/14 ") == Fraction(1, 2)
 
 
 def test_to_fraction_rejects_floats():
@@ -59,6 +63,31 @@ def test_common_denominator_keeps_fractions_past_the_bound():
             assert d is None and scaled == list(values)
         kinds.append(d is None)
     assert kinds == sorted(kinds) and 0 < kinds.count(True) < len(kinds)
+
+
+def test_scaled_ints_past_512_bits_take_the_held_form_on_both_sides_of_the_bound():
+    # the values of the test above, handed over as ints over 7 * lcm: the
+    # reduced pair and the fallback agree with the constructor's
+    kinds = []
+    for a in range(900, 1100, 5):
+        values = (Fraction(1, 2**a), Fraction(1, 3**40), Fraction(0), Fraction(5))
+        d = 7 * 2**a * 3**40
+        scaled = [int(v * d) for v in values]
+        held = SetFunction._from_scaled(GroundSet(("x", "y")), d, scaled)._held
+        assert held == _common_denominator(values)
+        kinds.append(held[0] is None)
+    assert kinds == sorted(kinds) and 0 < kinds.count(True) < len(kinds)
+
+
+def test_the_lcm_bound_reads_the_lengths_only_past_the_slack():
+    def unread():
+        raise AssertionError("lengths read below the slack")
+        yield
+
+    assert _lcm_or_none({1, 2, 3}, unread(), 3) == 6
+    assert _lcm_or_none({2**600}, iter([601]), 1) == 2**600
+    # 602 bits against 512 plus twice the mean length, 2 * 639 // 20 = 62
+    assert _lcm_or_none({2**600, 3}, iter([601] + [2] * 19), 20) is None
 
 
 def test_bits_and_submasks():
