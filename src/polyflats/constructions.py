@@ -212,13 +212,6 @@ class ExpansionMap:
     expanded: GroundSet
     blocks: tuple[int, ...]
 
-    def block_union(self, original_mask: int) -> int:
-        self.original.check_mask(original_mask)
-        out = 0
-        for i in bits(original_mask):
-            out |= self.blocks[i]
-        return out
-
 
 def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionMap]:
     """Block lattice and 0/1 measure for the expansion of ``f``.
@@ -248,7 +241,8 @@ def helgason_lattice(f: SetFunction) -> tuple[RankedLattice, Measure, ExpansionM
         unions += [u | block for u in unions]
 
     singles = [min(Fraction(1), v) for v, w in zip(f.singletons(), widths) for _ in range(w)]
-    return RankedLattice(expanded, zip(unions, f.values)), Measure(expanded, singles), emap
+    lattice = RankedLattice._from_family(expanded, zip(unions, f.values))
+    return lattice, Measure(expanded, singles), emap
 
 
 def helgason_expand(f: SetFunction) -> tuple[SetFunction, ExpansionMap]:
@@ -345,4 +339,5 @@ def infiltrate_via_lattices(spec: InfiltrationSpec) -> SetFunction:
     # With an empty guest the pivot is a loop, so the overwrite is a no-op.
     first = chain(zip(range(1 << m), without), zip(range(guest_part, ground.full + 1), with_))
     second = zip(range(0, guest_part + 1, 1 << m), spec.guest.values)
-    return convolve_lattices(RankedLattice(ground, first), RankedLattice(ground, second))
+    build = RankedLattice._from_family
+    return convolve_lattices(build(ground, first), build(ground, second))

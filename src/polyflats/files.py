@@ -75,10 +75,6 @@ def parse_rational(text) -> Fraction:
         ) from None
 
 
-def subset_key(ground: GroundSet, mask: int) -> str:
-    return ",".join(ground.sorted_labels(mask))
-
-
 def parse_subset_key(ground: GroundSet, key) -> int:
     if not isinstance(key, str):
         raise FileFormatError(f"bad subset key {key!r}")

@@ -24,16 +24,19 @@ measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
 mu(Z2) - mu(Z1), and C3 visits only the incomparable pairs, since a
 comparable pair holds it with equality.
 
-The lattice laws are stated once, where they are read: ``RankedLattice``
-refuses an empty family, and its ``_meet`` and ``_join`` find a pair's
-bounds or raise ``NotALattice``.  ``meet``, ``join`` and the one walk over
-the incomparable pairs, ``_bounds``, all go through them, so
-``validate_lattice`` (which drains the walk) and the C3 scan of
-``check_conditions`` refuse a family that is not a lattice with the same
-first pair and text.  The convolutions read members and ranks alone, as
-their formulas hold for any ranked family.  The walk reads the member
-order, which a lattice builds on first use and keeps, so a lattice that
-only goes into a convolution never pays for it.
+The lattice laws are checked once, where a family enters the library:
+``RankedLattice(ground, family)`` refuses a bad mask, a repeated member, a
+bad or negative rank, an empty family and the first pair without a meet or
+a join, so every lattice built through the public API is one.
+``validate_lattice``, the name the file reader calls, is that constructor.
+The library's own families are lattices by construction (the paper's
+theorem for cyclic flats, whole-block unions for the expansion), so its
+builders skip the check through ``RankedLattice._from_family``.  ``_meet``
+and ``_join`` find a pair's bounds or raise ``NotALattice``; ``meet``,
+``join`` and the one walk over the incomparable pairs, ``_bounds``, all go
+through them, and the constructor drains that walk.  The walk reads the
+member order, which a lattice builds on first use and keeps, so a lattice
+the library builds only for a convolution never pays for it.
 """
 
 from __future__ import annotations
@@ -83,30 +86,55 @@ class ElementNotInLattice(LatticeError):
 
 
 class RankedLattice:
-    """A ranked family of subsets, sorted, with its order built on demand.
+    """A lattice of subsets with a rank on each member, its order built on
+    demand.
 
     Members are sorted by (cardinality, bit pattern), so the bottom is
-    ``members[0]`` and the top is ``members[-1]``.  The constructor builds
-    no order, since a convolution reads members and ranks alone.  ``_order()``
-    builds the order on its first call and keeps it, as two tuples of
-    bitsets over member indices: bit t of ``below[i]`` is set when member t
-    lies inside member i, bit t of ``above[i]`` when member t contains
-    member i (both include i itself).  The constructor checks only that
-    the family is not empty; ``validate_lattice`` is the check for families
-    from outside the library, whose own families are lattices by
-    construction.  A pair without a meet or a join is refused with
-    ``NotALattice`` wherever one is asked for, by ``meet``, ``join`` and the
-    C3 scan of ``check_conditions`` alike.  Immutable apart from that held
-    order.
+    ``members[0]`` and the top is ``members[-1]``.  ``_order()`` builds the
+    order on its first call and keeps it, as two tuples of bitsets over
+    member indices: bit t of ``below[i]`` is set when member t lies inside
+    member i, bit t of ``above[i]`` when member t contains member i (both
+    include i itself).  The constructor checks the family, which builds
+    the order; ``_from_family`` skips the check and builds no order, since
+    a convolution reads members and ranks alone.  Immutable apart from
+    that held order.
     """
 
     __slots__ = ("ground", "members", "ranks", "_index", "_bitsets")
 
-    def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
-        """Sort the (mask, rank) pairs of ``family``; a mask that repeats
-        keeps its last rank.  The library's own families never repeat one,
-        and ``validate_lattice`` refuses a family that does."""
-        rank = dict(family)
+    def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Rational]]):
+        """Check a ranked family and build its lattice.
+
+        Each member must be a subset of ``ground``, appear once (else
+        DuplicateElement) and carry a rank >= 0, and the family must not
+        be empty.  Then every pair i < j in member order needs a meet and a
+        join: ``_bounds`` finds them, and NotALattice names the first
+        offending pair and the reason.  Only incomparable pairs are
+        visited, since a nested pair has its lower member as meet and its
+        upper member as join.
+        """
+        raw: dict[int, Fraction] = {}
+        for mask, rank in family:
+            ground.check_mask(mask)
+            if mask in raw:
+                raise DuplicateElement(f"duplicate member {ground.describe(mask)}")
+            value = to_fraction(rank)
+            if value < 0:
+                raise LatticeError(f"negative rank {value} for member {ground.describe(mask)}")
+            raw[mask] = value
+        self._sort(ground, raw)
+        deque(_bounds(self), maxlen=0)  # each pair's meet and join, or NotALattice
+
+    @classmethod
+    def _from_family(cls, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
+        """The lattice of a family the library built as one, unchecked: a
+        mask that repeats keeps its last rank, and ranks below zero stay."""
+        lattice = cls.__new__(cls)
+        lattice._sort(ground, dict(family))
+        return lattice
+
+    def _sort(self, ground: GroundSet, rank: dict[int, Fraction]) -> None:
+        """Hold the members of ``rank`` in member order with their ranks."""
         if not rank:
             raise LatticeError("empty family: a lattice needs at least one member")
         self.ground = ground
@@ -228,30 +256,9 @@ def _bounds(lattice: RankedLattice) -> Iterator[tuple[int, int, int, int]]:
 def validate_lattice(
     ground: GroundSet, elements: Iterable[tuple[int, Rational]]
 ) -> RankedLattice:
-    """Check a ranked family from outside the library and build its lattice.
-
-    Each member must be a subset of ``ground``, appear once (else
-    DuplicateElement) and carry a rank >= 0, and the family must not be
-    empty (refused by ``RankedLattice``).  Then every pair i < j in member
-    order needs a meet and a join: ``_bounds`` finds them, and NotALattice
-    names the first offending pair and the reason.  Only incomparable pairs
-    are visited, since a nested pair has its lower member as meet and its
-    upper member as join.
-    """
-    raw: dict[int, Fraction] = {}
-    for mask, rank in elements:
-        ground.check_mask(mask)
-        if mask in raw:
-            raise DuplicateElement(f"duplicate member {ground.describe(mask)}")
-        value = to_fraction(rank)
-        if value < 0:
-            raise LatticeError(
-                f"negative rank {value} for member {ground.describe(mask)}"
-            )
-        raw[mask] = value
-    lattice = RankedLattice(ground, raw.items())
-    deque(_bounds(lattice), maxlen=0)  # each pair's meet and join, or NotALattice
-    return lattice
+    """Check a ranked family from outside the library and build its lattice:
+    ``RankedLattice(ground, elements)``, whose refusals it raises."""
+    return RankedLattice(ground, elements)
 
 
 def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
@@ -265,7 +272,7 @@ def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
     base = lattice.ranks[0]
     if base == 0:
         return lattice
-    return RankedLattice(lattice.ground, ((m, r - base) for m, r in lattice.items()))
+    return RankedLattice._from_family(lattice.ground, ((m, r - base) for m, r in lattice.items()))
 
 
 @dataclass(frozen=True)
@@ -376,10 +383,11 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
             yield pair, diff, upper, weights[j] - weights[i], None
 
 
-def _incomparable(members: tuple[int, ...], pairs, ranks, masses):
-    """The C3 inequality for each of the incomparable ``pairs`` that
-    ``_bounds`` yields, in index order."""
-    for i, j, meet, join in pairs:
+def _incomparable(lattice: RankedLattice, ranks, masses):
+    """The C3 inequality for each incomparable pair that ``_bounds``
+    yields, in index order."""
+    members = lattice.members
+    for i, j, meet, join in _bounds(lattice):
         z1, z2 = members[i], members[j]
         correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
         yield (
@@ -395,9 +403,8 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     Ranks and point masses are read as ints over their common denominator
     d, or as the ``Fraction`` values when d would be too long (see
     ``model``); each condition is one loop over its inequalities, and only
-    a witness turns back into ``Fraction``.  The C3 scan walks every
-    incomparable pair, past its witness too, so a family that is not a
-    lattice raises ``NotALattice`` with validation's first pair and text.
+    a witness turns back into ``Fraction``.  The lattice was checked when
+    it was built, so the C3 scan stops at its witness.
     """
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
@@ -407,14 +414,11 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     value = partial(_exact, d)
     weights = [sum(masses[a] for a in bits(z)) for z in members]
     outside = lattice.ground.full & ~members[0]
-    pairs = _bounds(lattice)
-    c3 = _first_failure("C3", _incomparable(members, pairs, ranks, masses), value)
-    deque(pairs, maxlen=0)  # the pairs past a C3 witness still need their bounds
     return ConditionReport(
         c1=_first_failure("C1", [((members[0],), ranks[0], "==", 0, None)], value),
         c2=_first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value),
         cstar=_first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value),
-        c3=c3,
+        c3=_first_failure("C3", _incomparable(lattice, ranks, masses), value),
         c4=_first_failure(
             "C4",
             (((z,), masses[a], "<=", r, a) for z, r in zip(members, ranks) for a in bits(z)),

@@ -253,16 +253,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _halves(size: int, step: int) -> Iterator[tuple[slice, slice]]:
     """Slice pairs ``(lo, hi)`` that line each mask A without the bit
     ``step`` up with A + step, for a table of ``size`` entries (both powers

@@ -215,7 +215,7 @@ def cyclic_flats(f: SetFunction) -> tuple[RankedLattice, Measure]:
     ``check_polymatroid`` first.
     """
     family = [(m, f(m)) for m in _marked_flats(*f._held, cyclic=True)]
-    return RankedLattice(f.ground, family), induced_measure(f)
+    return RankedLattice._from_family(f.ground, family), induced_measure(f)
 
 
 def reconstruction_failure(f: SetFunction) -> int | None:

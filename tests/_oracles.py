@@ -11,12 +11,14 @@ from fractions import Fraction
 from polyflats import (
     AxiomWitness,
     ConditionReport,
+    ExpansionMap,
     GroundSet,
     NotALattice,
     PolymatroidReport,
     SetFunction,
     Verdict,
     Witness,
+    bits,
     check_conditions,
     check_polymatroid,
     convolve,
@@ -548,7 +550,7 @@ def structure_properties(lattice, mu) -> tuple[set[str], set[str]]:
     ok = True
     for z, rank in lattice.items():
         rest = g.full & ~z
-        for a_set in _submasks_of(rest):
+        for a_set in submasks(rest):
             for i in range(g.n):
                 bit = 1 << i
                 if not rest & bit or a_set & bit:
@@ -630,7 +632,8 @@ def structure_properties(lattice, mu) -> tuple[set[str], set[str]]:
     return applied, failed
 
 
-def _submasks_of(mask: int):
+def submasks(mask: int):
+    """All subsets of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
     while True:
         yield sub
@@ -654,3 +657,18 @@ def axiom_witness_violates(f: SetFunction, witness) -> bool:
         right = f.values[a | 1 << i | 1 << j] + f.values[a]
         return not a >> i & 1 and not a >> j & 1 and left < right
     return False
+
+
+def block_union(emap: ExpansionMap, original_mask: int) -> int:
+    """The expanded mask of the blocks of the original elements in
+    ``original_mask``."""
+    emap.original.check_mask(original_mask)
+    out = 0
+    for i in bits(original_mask):
+        out |= emap.blocks[i]
+    return out
+
+
+def subset_key(ground: GroundSet, mask: int) -> str:
+    """A subset's key in a rank file: its labels, sorted, joined by commas."""
+    return ",".join(ground.sorted_labels(mask))

@@ -161,7 +161,7 @@ def test_criterion_06_block_expansion_factors(integer_functions):
         factor, emap = helgason_expand(f)
         assert check_polymatroid(factor).is_matroid
         for a in f.ground.subsets():
-            assert factor.values[emap.block_union(a)] == f.values[a]
+            assert factor.values[_oracles.block_union(emap, a)] == f.values[a]
         lattice, mu, _ = helgason_lattice(f)
         report = check_conditions(lattice, mu)
         assert report.c1.passed and report.c2.passed

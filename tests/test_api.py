@@ -80,7 +80,6 @@ PUBLIC = [
     "normalize_pointed",
     "random_polymatroid",
     "reconstruction_failure",
-    "submasks",
     "to_fraction",
     "uniform_matroid",
     "validate_lattice",
@@ -164,10 +163,9 @@ MALFORMED = {
     "meet of a pair without one": (
         lambda: RankedLattice(XY, NO_MEET).meet(0b01, 0b10), NotALattice, MEET_TEXT
     ),
+    # the constructor meets the missing meet first, before a join is asked for
     "join of a pair without one": (
-        lambda: RankedLattice(XY, NO_MEET).join(0b10, 0b01),
-        NotALattice,
-        "no unique upper bound for {y} and {x}",
+        lambda: RankedLattice(XY, NO_MEET).join(0b10, 0b01), NotALattice, MEET_TEXT
     ),
     "convolution of an empty family": (
         lambda: convolve(RankedLattice(XY, []), Measure(XY, [1, 1])),
@@ -187,6 +185,19 @@ MALFORMED = {
     ),
     "a mask that is not an int": (
         lambda: validate_lattice(XY, [("x", 0)]), PolyflatsError, "mask 'x' is not an int"
+    ),
+    "a lattice member that is not an int": (
+        lambda: RankedLattice(XY, [("x", 0)]), PolyflatsError, "mask 'x' is not an int"
+    ),
+    "convolution of a member outside the ground set": (
+        lambda: convolve(RankedLattice(XY, [(0, 0), (8, 1)]), Measure(XY, [1, 1])),
+        PolyflatsError,
+        "mask 8 is outside the ground set (n=2)",
+    ),
+    "conditions on a word for a member's rank": (
+        lambda: check_conditions(RankedLattice(XY, [(0, "x")]), Measure(XY, [1, 1])),
+        InputError,
+        "bad rational 'x'",
     ),
     "no vertex count": (lambda: graphic_matroid(None, []), BadParameters, None),
     "a vertex count as text": (lambda: graphic_matroid("3", [(0, 1)]), BadParameters, None),

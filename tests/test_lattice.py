@@ -66,14 +66,14 @@ def test_members_sort_by_size_then_mask_on_shuffled_families():
     for _ in range(50):
         masks = rng.sample(range(1 << 8), rng.randint(1, 60))
         rank = {m: Fraction(rng.randint(0, 9), rng.randint(1, 3)) for m in masks}
-        lat = RankedLattice(g, rank.items())
+        lat = RankedLattice._from_family(g, rank.items())
         assert lat.members == tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
         assert lat.ranks == tuple(rank[m] for m in lat.members)
         assert all(lat.members[lat._require(m)] == m for m in masks)
 
 
 def test_a_repeated_mask_keeps_its_last_rank():
-    lat = RankedLattice(ground("ab"), [(0b11, 2), (0, 0), (0b11, 3)])
+    lat = RankedLattice._from_family(ground("ab"), [(0b11, 2), (0, 0), (0b11, 3)])
     assert lat.members == (0, 0b11)
     assert lat.ranks == (0, 3)
 
@@ -90,17 +90,17 @@ def test_validate_rejects_negative_rank_and_empty_family():
         validate_lattice(g, [(0, -1)])
     with pytest.raises(LatticeError) as info:
         validate_lattice(g, [])
-    # the lattice itself refuses the empty family, with the same text
+    # the unchecked constructor refuses the empty family too, with the same text
     with pytest.raises(LatticeError) as unvalidated:
-        RankedLattice(g, [])
+        RankedLattice._from_family(g, [])
     assert str(unvalidated.value) == str(info.value)
 
 
 def _refused_the_same_without_validation(g, elements, refused):
-    """The condition check on the unvalidated family meets the same pair
-    in its C3 scan and gives the same text."""
+    """The condition check on the family built unchecked meets the same
+    pair first in its C3 scan and gives the same text."""
     with pytest.raises(NotALattice) as info:
-        check_conditions(RankedLattice(g, elements), mu_from(g, [1] * g.n))
+        check_conditions(RankedLattice._from_family(g, elements), mu_from(g, [1] * g.n))
     assert str(info.value) == str(refused)
 
 
@@ -121,6 +121,25 @@ def test_validate_rejects_missing_join():
         validate_lattice(g, elements)
     assert info.value.reason == "no unique upper bound"
     _refused_the_same_without_validation(g, elements, info.value)
+
+
+def test_conditions_stop_at_the_c3_witness_of_a_checked_lattice(monkeypatch):
+    # the constructor found every pair's bounds, so when the first
+    # incomparable pair fails C3 the scan asks for its join alone
+    g = ground("abcd")
+    pairs = [m for m in range(16) if m.bit_count() == 2]
+    lat = validate_lattice(g, [(0, 0), (g.full, 2)] + [(m, 1) for m in pairs])
+    joins = []
+    join = RankedLattice._join
+
+    def counted(self, above, i, j):
+        joins.append((i, j))
+        return join(self, above, i, j)
+
+    monkeypatch.setattr(RankedLattice, "_join", counted)
+    rep = check_conditions(lat, mu_from(g, [1] * g.n))
+    assert rep.c3.witness.subsets == (0b0011, 0b0101)
+    assert joins == [(1, 2)]
 
 
 def test_rank_of_unknown_member():
@@ -205,7 +224,7 @@ def test_conditions_nonzero_bottom_failure():
     assert rep.c2.passed and rep.cstar.passed and rep.c3.passed
     assert rep.c4.passed and rep.c5a.passed and rep.c5b.passed
     # C1 asks for equality: the unchecked constructor admits a bottom below zero
-    below = RankedLattice(g, [(0, Fraction(-1)), (0b11, Fraction(4))])
+    below = RankedLattice._from_family(g, [(0, Fraction(-1)), (0b11, Fraction(4))])
     assert check_conditions(below, mu).lines(g)[0] == "C1   FAIL at {}: needs -1 == 0"
 
 
@@ -439,24 +458,21 @@ def test_nested_scan_matches_per_condition_reference():
 
 
 def _order_matches_pair_scan(g, elements) -> str | None:
-    """validate_lattice against the per-pair member scan: the same first
-    NotALattice, or the same meet, join and DOT text.  Returns the failure
-    reason, None for a lattice."""
+    """validate_lattice and the constructor against the per-pair member
+    scan: the same first NotALattice, or the same meet, join and DOT text.
+    Returns the failure reason, None for a lattice."""
     try:
         meet, join = _oracles.pair_scan_reference(g, elements)
     except NotALattice as expected:
-        with pytest.raises(NotALattice) as info:
-            validate_lattice(g, elements)
-        got = info.value
-        assert (got.first, got.second, got.reason, str(got)) == (
-            expected.first, expected.second, expected.reason, str(expected)
-        )
-        # the same family unvalidated: the condition check refuses it at the
-        # same pair, whatever C3 finds before it, and so does the bound asked for
-        lat = RankedLattice(g, elements)
-        with pytest.raises(NotALattice) as info:
-            check_conditions(lat, Measure(g, [0] * g.n))
-        assert str(info.value) == str(expected)
+        for build in (validate_lattice, RankedLattice):
+            with pytest.raises(NotALattice) as info:
+                build(g, elements)
+            got = info.value
+            assert (got.first, got.second, got.reason, str(got)) == (
+                expected.first, expected.second, expected.reason, str(expected)
+            )
+        # the same family built unchecked refuses the bound asked for
+        lat = RankedLattice._from_family(g, elements)
         bound = lat.meet if got.reason == "no unique lower bound" else lat.join
         with pytest.raises(NotALattice) as info:
             bound(got.first, got.second)
@@ -505,9 +521,10 @@ def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
 
 def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
     # cyclic_flats, helgason_lattice, infiltrate_via_lattices and
-    # normalize_pointed build their lattices without the meet/join pass.
-    # validate_lattice must accept each family and give back the same
-    # lattice, and the order bitsets must be the containment relation
+    # normalize_pointed build their lattices through the unchecked
+    # _from_family.  The checking constructor must accept each family and
+    # give back the same lattice, and the order bitsets must be the
+    # containment relation
     built = collections.Counter()
     real_convolve_lattices = constructions.convolve_lattices
 

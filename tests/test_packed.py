@@ -206,7 +206,7 @@ def test_convolutions_match_references_on_perturbed_lattices(harvested_pairs):
     negative = non_monotone = 0
     for _, lattice, mu in [pair for pair in harvested_pairs if len(pair[1]) > 1][:150]:
         ranks = [r + rng.choice([0, -1, 1, Fraction(1, 3), -5, 5]) for r in lattice.ranks]
-        moved = RankedLattice(lattice.ground, list(zip(lattice.members, ranks)))
+        moved = RankedLattice._from_family(lattice.ground, zip(lattice.members, ranks))
         negative += min(ranks) < 0
         non_monotone += any(
             ranks[j] < ranks[i]
