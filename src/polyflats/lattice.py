@@ -21,8 +21,12 @@ loop reports the first that fails, so each inequality is written once.  The
 loop compares ranks and point masses as ints over their common denominator
 (see ``model``) and turns only a witness back into ``Fraction``.  The
 measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
-mu(Z2) - mu(Z1), and C3 visits only the incomparable pairs, since a
-comparable pair holds it with equality.
+mu(Z2) - mu(Z1), and C2 is scanned only when C* fails, since C* bounds
+the same differences strictly.  C3 reads the lattice's bound tables: the
+rank of each union's join, and the rank of each intersection's meet plus
+the measure the meet leaves out, are worked out once per mask, and one
+pass of maps tests every pair.  A comparable pair holds C3 with equality,
+so no pair is filtered out, and only failing pairs come back to Python.
 
 The lattice laws are checked once, where a family enters the library:
 ``RankedLattice(ground, family)`` refuses a bad mask, a repeated member, a
@@ -32,21 +36,23 @@ a join, so every lattice built through the public API is one.
 The library's own families are lattices by construction (the paper's
 theorem for cyclic flats, whole-block unions for the expansion), so its
 builders skip the check through ``RankedLattice._from_family``.  ``_meet``
-and ``_join`` find a pair's bounds or raise ``NotALattice``; ``meet``,
-``join`` and the one walk over the incomparable pairs, ``_bounds``, all go
-through them, and the constructor drains that walk.  The walk reads the
-member order, which a lattice builds on first use and keeps, so a lattice
-the library builds only for a convolution never pays for it.
+and ``_join`` find a pair's bounds or raise ``NotALattice``, and ``meet``,
+``join`` and the bound tables go through them.  The meet of two members
+depends only on their intersection and the join only on their union, so
+``_bound_tables`` maps each distinct intersection and union of a member
+pair to its bound, each found once; the constructor builds the tables and
+C3 reads them.  The tables and the member order they come from are built
+on first use and kept, so a lattice the library builds only for a
+convolution pays for neither.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
-from operator import eq, ge, gt, le, lt
+from itertools import combinations, compress, count, filterfalse, starmap
+from operator import add, and_, eq, ge, gt, le, lt, or_
 from typing import Iterable, Iterator
 
 from .model import (
@@ -94,13 +100,15 @@ class RankedLattice:
     order on its first call and keeps it, as two tuples of bitsets over
     member indices: bit t of ``below[i]`` is set when member t lies inside
     member i, bit t of ``above[i]`` when member t contains member i (both
-    include i itself).  The constructor checks the family, which builds
-    the order; ``_from_family`` skips the check and builds no order, since
-    a convolution reads members and ranks alone.  Immutable apart from
-    that held order.
+    include i itself).  ``_bound_tables()`` builds the meet and join of
+    every member pair, keyed by their intersection and union, from that
+    order on its first call and keeps them too.  The constructor checks
+    the family, which builds both; ``_from_family`` skips the check and
+    builds neither, since a convolution reads members and ranks alone.
+    Immutable apart from the held order and tables.
     """
 
-    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets")
+    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets", "_tables")
 
     def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Rational]]):
         """Check a ranked family and build its lattice.
@@ -108,10 +116,8 @@ class RankedLattice:
         Each member must be a subset of ``ground``, appear once (else
         DuplicateElement) and carry a rank >= 0, and the family must not
         be empty.  Then every pair i < j in member order needs a meet and a
-        join: ``_bounds`` finds them, and NotALattice names the first
-        offending pair and the reason.  Only incomparable pairs are
-        visited, since a nested pair has its lower member as meet and its
-        upper member as join.
+        join: ``_bound_tables`` finds them, and NotALattice names the first
+        offending pair and the reason.
         """
         raw: dict[int, Fraction] = {}
         for mask, rank in family:
@@ -123,7 +129,7 @@ class RankedLattice:
                 raise LatticeError(f"negative rank {value} for member {ground.describe(mask)}")
             raw[mask] = value
         self._sort(ground, raw)
-        deque(_bounds(self), maxlen=0)  # each pair's meet and join, or NotALattice
+        self._bound_tables()  # each pair's meet and join, or NotALattice
 
     @classmethod
     def _from_family(cls, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
@@ -141,7 +147,7 @@ class RankedLattice:
         self.members = tuple(sorted(sorted(rank), key=int.bit_count))
         self.ranks = tuple(map(rank.__getitem__, self.members))
         self._index = dict(zip(self.members, count()))
-        self._bitsets = None
+        self._bitsets = self._tables = None
 
     def _order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(below, above), built by one containment scan on the first call."""
@@ -156,6 +162,37 @@ class RankedLattice:
                         above[i] |= 1 << j
             self._bitsets = tuple(below), tuple(above)
         return self._bitsets
+
+    def _bound_tables(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(meet_of, join_of), built on the first call and kept: the member
+        index of the meet of each mask Zi & Zj and of the join of each mask
+        Zi | Zj over the pairs i < j, each member mapped to itself.
+
+        The meet of two members is the greatest member inside both, so it
+        depends on Zi & Zj alone, and the join on Zi | Zj alone.  Row i
+        maps Zi over the later members, and a mask new to a table is
+        resolved once by ``_meet`` or ``_join`` on the first pair that
+        makes it, so the first pair without a bound raises NotALattice.
+
+        Rows are resolved meets first, yet the refusal is the first of a
+        pair-by-pair scan that asks for the meet before the join, because
+        the first row with a refused pair refuses one kind only.  A pair
+        (i, j) without a meet either has no common lower bound, and then
+        row 0 refuses a meet at each of its incomparable pairs, one of
+        which is (0, i) or (0, j); or it has two largest common lower
+        bounds A and B, smaller than Zi, and then A and B have no join (it
+        would lie inside Zi and Zj and contain both, a larger common lower
+        bound), so an earlier row refuses.
+        """
+        if self._tables is None:
+            below, above = self._order()
+            meet_of, join_of = dict(self._index), dict(self._index)
+            for i, zi in enumerate(self.members):
+                later = self.members[i + 1:]
+                _resolve(meet_of, list(map(zi.__and__, later)), self._meet, below, i)
+                _resolve(join_of, list(map(zi.__or__, later)), self._join, above, i)
+            self._tables = meet_of, join_of
+        return self._tables
 
     @property
     def bottom(self) -> int:
@@ -241,16 +278,14 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
-def _bounds(lattice: RankedLattice) -> Iterator[tuple[int, int, int, int]]:
-    """(i, j, meet, join) for each incomparable pair i < j, in index order,
-    meet and join as member indices: every member containing Zi comes after
-    it, and is in ``above[i]``.  The first pair without a meet, or else
-    without a join, raises ``NotALattice``."""
-    below, above = lattice._order()
-    meet, join, k = lattice._meet, lattice._join, len(above)
-    for i, up in enumerate(above):
-        for j in bits(((1 << k) - (2 << i)) & ~up):
-            yield i, j, meet(below, i, j), join(above, i, j)
+def _resolve(table: dict[int, int], masks: list[int], bound, order, i: int) -> None:
+    """Enter each mask of row i that ``table`` lacks, as ``bound(order, i,
+    j)`` for the first later member j that makes it.  ``masks[t]`` comes
+    from member i + 1 + t, and the masks still missing are met in order."""
+    at = -1
+    for mask in filterfalse(table.__contains__, masks):
+        at = masks.index(mask, at + 1)
+        table[mask] = bound(order, i, i + 1 + at)
 
 
 def validate_lattice(
@@ -383,28 +418,40 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
             yield pair, diff, upper, weights[j] - weights[i], None
 
 
-def _incomparable(lattice: RankedLattice, ranks, masses):
-    """The C3 inequality for each incomparable pair that ``_bounds``
-    yields, in index order."""
+def _exchange(lattice: RankedLattice, ranks, masses):
+    """The C3 inequality for each pair i < j that fails it, in index order.
+
+    ``high`` holds rank(join) for each union Zi | Zj and ``low`` holds
+    rank(meet) + mu(X - meet) for each intersection X = Zi & Zj, read from
+    the bound tables.  One pass of maps over ``combinations`` tests every
+    pair, comparable ones included, since they hold C3 with equality, and
+    only the pairs that fail come out of ``compress``.
+    """
     members = lattice.members
-    for i, j, meet, join in _bounds(lattice):
-        z1, z2 = members[i], members[j]
-        correction = sum(masses[a] for a in bits(z1 & z2 & ~members[meet]))
-        yield (
-            (z1, z2), ranks[i] + ranks[j], ">=", ranks[join] + ranks[meet] + correction, None
-        )
+    meet_of, join_of = lattice._bound_tables()
+    high = {u: ranks[t] for u, t in join_of.items()}
+    low = {
+        x: ranks[t] + sum(map(masses.__getitem__, bits(x & ~members[t])))
+        for x, t in meet_of.items()
+    }
+    joins = map(high.__getitem__, starmap(or_, combinations(members, 2)))
+    meets = map(low.__getitem__, starmap(and_, combinations(members, 2)))
+    fails = map(lt, starmap(add, combinations(ranks, 2)), map(add, joins, meets))
+    for i, j in compress(combinations(range(len(members)), 2), fails):
+        zi, zj = members[i], members[j]
+        yield (zi, zj), ranks[i] + ranks[j], ">=", high[zi | zj] + low[zi & zj], None
 
 
 def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     """Evaluate all seven conditions; each failure carries the first witness
-    in scan order (members ordered by cardinality then bit pattern, C3 over
-    incomparable pairs only).
+    in scan order (members ordered by cardinality then bit pattern; C3
+    fails only at incomparable pairs).
 
     Ranks and point masses are read as ints over their common denominator
     d, or as the ``Fraction`` values when d would be too long (see
     ``model``); each condition is one loop over its inequalities, and only
-    a witness turns back into ``Fraction``.  The lattice was checked when
-    it was built, so the C3 scan stops at its witness.
+    a witness turns back into ``Fraction``.  C3 reads the bound tables,
+    which a lattice checked when it was built already holds.
     """
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")
@@ -414,11 +461,15 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     value = partial(_exact, d)
     weights = [sum(masses[a] for a in bits(z)) for z in members]
     outside = lattice.ground.full & ~members[0]
+    # C* passing bounds C2's differences strictly, so C2 is scanned only
+    # when C* fails, for its own first witness
+    cstar = _first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value)
+    c2 = cstar or _first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value)
     return ConditionReport(
         c1=_first_failure("C1", [((members[0],), ranks[0], "==", 0, None)], value),
-        c2=_first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value),
-        cstar=_first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value),
-        c3=_first_failure("C3", _incomparable(lattice, ranks, masses), value),
+        c2=c2,
+        cstar=cstar,
+        c3=_first_failure("C3", _exchange(lattice, ranks, masses), value),
         c4=_first_failure(
             "C4",
             (((z,), masses[a], "<=", r, a) for z, r in zip(members, ranks) for a in bits(z)),

@@ -124,22 +124,54 @@ def test_validate_rejects_missing_join():
 
 
 def test_conditions_stop_at_the_c3_witness_of_a_checked_lattice(monkeypatch):
-    # the constructor found every pair's bounds, so when the first
-    # incomparable pair fails C3 the scan asks for its join alone
+    # the constructor found every pair's bounds, so C3 reads them from the
+    # held tables and asks for no meet or join of its own
     g = ground("abcd")
     pairs = [m for m in range(16) if m.bit_count() == 2]
     lat = validate_lattice(g, [(0, 0), (g.full, 2)] + [(m, 1) for m in pairs])
-    joins = []
-    join = RankedLattice._join
 
-    def counted(self, above, i, j):
-        joins.append((i, j))
-        return join(self, above, i, j)
+    def refuse(self, order, i, j):
+        raise AssertionError(f"C3 asked for a bound of members {i} and {j}")
 
-    monkeypatch.setattr(RankedLattice, "_join", counted)
+    monkeypatch.setattr(RankedLattice, "_meet", refuse)
+    monkeypatch.setattr(RankedLattice, "_join", refuse)
     rep = check_conditions(lat, mu_from(g, [1] * g.n))
     assert rep.c3.witness.subsets == (0b0011, 0b0101)
-    assert joins == [(1, 2)]
+
+
+def test_bound_tables_are_built_once_for_a_lattice_checked_twice(monkeypatch):
+    tables, asked = [], collections.Counter()
+    build, meet, join = RankedLattice._bound_tables, RankedLattice._meet, RankedLattice._join
+
+    def record(self):
+        tables.append(build(self))
+        return tables[-1]
+
+    def counted(bound, name):
+        def ask(self, order, i, j):
+            asked[name] += 1
+            return bound(self, order, i, j)
+        return ask
+
+    monkeypatch.setattr(RankedLattice, "_bound_tables", record)
+    monkeypatch.setattr(RankedLattice, "_meet", counted(meet, "meet"))
+    monkeypatch.setattr(RankedLattice, "_join", counted(join, "join"))
+    _, built, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
+    lat = validate_lattice(built.ground, built.items())
+    after_construction = dict(asked)
+    first, second = check_conditions(lat, mu), check_conditions(lat, mu)
+    # each distinct intersection and union was resolved once, while building
+    assert asked == after_construction
+    assert len(tables) == 3 and all(held is tables[0] for held in tables)
+    assert first == second == _oracles.check_conditions_reference(lat, mu)
+    meet_of, join_of = tables[0]
+    k = len(lat)
+    assert after_construction == {"meet": len(meet_of) - k, "join": len(join_of) - k}
+    members = lat.members
+    for i, z1 in enumerate(members):
+        for z2 in members[i + 1:]:
+            assert members[meet_of[z1 & z2]] == lat.meet(z1, z2)
+            assert members[join_of[z1 | z2]] == lat.join(z1, z2)
 
 
 def test_rank_of_unknown_member():
@@ -455,6 +487,32 @@ def test_nested_scan_matches_per_condition_reference():
         f"condition scan parity: {cases} pairs, failures {dict(failed)}, "
         f"split witnesses {split}, past the int bound {paths[True]} of {sum(paths.values())}"
     )
+
+
+def test_paving_lattices_match_the_reference_report():
+    # {}, E and 200 random 6-subsets of 12 elements ranked 11/2, E ranked 6,
+    # unit measure: every meet is {} and every join is E, so C3 reads
+    # 11 >= 6 + |Zi & Zj| and holds.  A member lowered to 5 fails C3 at the
+    # first pair that holds it and shares five elements
+    g = ground([f"e{i:02d}" for i in range(12)])
+    rng = random.Random(12)
+    subsets = set()
+    while len(subsets) < 200:
+        subsets.add(sum(1 << i for i in rng.sample(range(12), 6)))
+    family = [(0, 0), (g.full, 6)] + [(h, Fraction(11, 2)) for h in sorted(subsets)]
+    mu = Measure(g, [1] * 12)
+    lat = validate_lattice(g, family)
+    rep = check_conditions(lat, mu)
+    assert rep.all_pass() and rep == _oracles.check_conditions_reference(lat, mu)
+    for at in (2, 2 + rng.randrange(200)):
+        lowered = family.copy()
+        lowered[at] = (family[at][0], 5)
+        lat = validate_lattice(g, lowered)
+        rep = check_conditions(lat, mu)
+        assert rep == _oracles.check_conditions_reference(lat, mu)
+        assert [name for name, verdict in rep.named() if not verdict] == ["C3"]
+        z1, z2 = rep.c3.witness.subsets
+        assert family[at][0] in (z1, z2) and (z1 & z2).bit_count() == 5
 
 
 def _order_matches_pair_scan(g, elements) -> str | None:
