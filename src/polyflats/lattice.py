@@ -19,14 +19,16 @@ smaller than the set intersection.
 Each condition is a list of required inequalities in scan order, and one
 loop reports the first that fails, so each inequality is written once.  The
 loop compares ranks and point masses as ints over their common denominator
-(see ``model``) and turns only a witness back into ``Fraction``.  The
-measure is never tabled over all subsets: C2 and C* take mu(Z2 - Z1) as
-mu(Z2) - mu(Z1), and C2 is scanned only when C* fails, since C* bounds
-the same differences strictly.  C3 reads the lattice's bound tables: the
-rank of each union's join, and the rank of each intersection's meet plus
-the measure the meet leaves out, are worked out once per mask, and one
-pass of maps tests every pair.  A comparable pair holds C3 with equality,
-so no pair is filtered out, and only failing pairs come back to Python.
+(see ``model``) and turns only a witness back into ``Fraction``.  C2 and C*
+take mu(Z2 - Z1) as mu(Z2) - mu(Z1), and C2 is scanned only when C* fails,
+since C* bounds the same differences strictly.  C3 reads the lattice's
+hulls (below): rank(outer[U]), the rank of the join of a pair with union
+U, and rank(inner[X]) + mu(X) - mu(inner[X]), the rank of the meet of a
+pair with intersection X plus the measure the meet leaves out, are listed
+over the whole subset cube by C-level maps, with mu listed from the point
+masses by n doublings, and one pass of maps tests every pair.  A
+comparable pair holds C3 with equality, so no pair is filtered out, and
+only failing pairs come back to Python.
 
 The lattice laws are checked once, where a family enters the library:
 ``RankedLattice(ground, family)`` refuses a bad mask, a repeated member, a
@@ -35,13 +37,42 @@ a join, so every lattice built through the public API is one.
 ``validate_lattice``, the name the file reader calls, is that constructor.
 The library's own families are lattices by construction (the paper's
 theorem for cyclic flats, whole-block unions for the expansion), so its
-builders skip the check through ``RankedLattice._from_family``.  ``_meet``
-and ``_join`` find a pair's bounds or raise ``NotALattice``, and ``meet``,
-``join`` and the bound tables go through them.  The meet of two members
-depends only on their intersection and the join only on their union, so
-``_bound_tables`` maps each distinct intersection and union of a member
-pair to its bound, each found once; the constructor builds the tables and
-C3 reads them.  The tables and the member order they come from are built
+builders skip the check through ``RankedLattice._from_family``.
+
+The check, ``meet``, ``join`` and C3 read two hulls of the family over the
+subset cube of the ground set E:
+
+    inner[X] = the union of the members inside X          (0 if none)
+    outer[U] = the intersection of the members containing U  (E if none)
+
+The common lower bounds of two members are the members inside their
+intersection X, so the pair has a meet, a greatest common lower bound,
+exactly when their union inner[X] is a member, and inner[X] is then the
+meet.  Dually the pair has a join exactly when outer[U] is a member, U
+their union.  Each hull is a subset-cube transform of n whole-table passes
+on packed fields, so both take O(n·2^n) word operations whatever k is.
+
+The hulls also certify a whole family at once: it is a lattice if and only
+if inner[X] is a member at every X with outer[X] = X, and outer[U] is a
+member at every U with inner[U] = U.  If: the intersection X of a pair has
+outer[X] = X, since both members contain X, and their union U has
+inner[U] = U, so every pair has a meet and a join.  Only if: a lattice has
+a top T and a bottom B.  Take X with outer[X] = X.  If no member contains
+X, then X = E and inner[E] = T.  Otherwise X is the intersection of the
+members S containing it, so the members inside X are the common lower
+bounds of S, and their union is the meet of S, a member.  Dually, take U
+with inner[U] = U.  If no member lies inside U, then U = {} and
+outer[{}] = B; otherwise the members containing U are the common upper
+bounds of the members inside U, and their intersection is the join of
+those, a member.
+
+The certificate reads the 2^n masks and the pair pass the k(k-1)/2 pairs,
+each with a few C-level ``map`` steps, so the constructor takes the
+certificate when 2^n < k(k-1)/2 and the pair pass otherwise.  Both passes
+stay: the certificate only says whether the family is a lattice, so a
+family that fails it goes through the pair pass too, which names the first
+pair in member order without a meet or a join, the meet asked for first.
+The hulls, and the member order that C2, C* and ``covers`` read, are built
 on first use and kept, so a lattice the library builds only for a
 convolution pays for neither.
 """
@@ -51,8 +82,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, compress, count, filterfalse, starmap
-from operator import add, and_, eq, ge, gt, le, lt, or_
+from itertools import chain, combinations, compress, count, repeat, starmap
+from operator import add, and_, eq, ge, gt, le, lt, not_, or_, sub
 from typing import Iterable, Iterator
 
 from .model import (
@@ -62,6 +93,7 @@ from .model import (
     Measure,
     Rational,
     _common_denominator,
+    _cube_hulls,
     _exact,
     bits,
     format_rational,
@@ -92,23 +124,25 @@ class ElementNotInLattice(LatticeError):
 
 
 class RankedLattice:
-    """A lattice of subsets with a rank on each member, its order built on
-    demand.
+    """A lattice of subsets with a rank on each member, its order and hulls
+    built on demand.
 
     Members are sorted by (cardinality, bit pattern), so the bottom is
     ``members[0]`` and the top is ``members[-1]``.  ``_order()`` builds the
     order on its first call and keeps it, as two tuples of bitsets over
     member indices: bit t of ``below[i]`` is set when member t lies inside
     member i, bit t of ``above[i]`` when member t contains member i (both
-    include i itself).  ``_bound_tables()`` builds the meet and join of
-    every member pair, keyed by their intersection and union, from that
-    order on its first call and keeps them too.  The constructor checks
-    the family, which builds both; ``_from_family`` skips the check and
-    builds neither, since a convolution reads members and ranks alone.
-    Immutable apart from the held order and tables.
+    include i itself).  ``_hulls()`` builds ``inner`` and ``outer`` (see the
+    module docstring) as read-only views with one 8-, 16- or 32-bit field
+    per mask, checks the family with the certificate when 2^n < k(k-1)/2 or
+    else with the pair pass, and keeps them; meet and join read them.  The
+    constructor checks the family, which builds the hulls and not the
+    order; ``_from_family`` skips the check and builds neither, since a
+    convolution reads members and ranks alone.  Immutable apart from the
+    held order and hulls.
     """
 
-    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets", "_tables")
+    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets", "_cube")
 
     def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Rational]]):
         """Check a ranked family and build its lattice.
@@ -116,7 +150,7 @@ class RankedLattice:
         Each member must be a subset of ``ground``, appear once (else
         DuplicateElement) and carry a rank >= 0, and the family must not
         be empty.  Then every pair i < j in member order needs a meet and a
-        join: ``_bound_tables`` finds them, and NotALattice names the first
+        join: ``_hulls`` checks them, and NotALattice names the first
         offending pair and the reason.
         """
         raw: dict[int, Fraction] = {}
@@ -129,7 +163,7 @@ class RankedLattice:
                 raise LatticeError(f"negative rank {value} for member {ground.describe(mask)}")
             raw[mask] = value
         self._sort(ground, raw)
-        self._bound_tables()  # each pair's meet and join, or NotALattice
+        self._hulls()  # each pair's meet and join, or NotALattice
 
     @classmethod
     def _from_family(cls, ground: GroundSet, family: Iterable[tuple[int, Fraction]]):
@@ -147,7 +181,7 @@ class RankedLattice:
         self.members = tuple(sorted(sorted(rank), key=int.bit_count))
         self.ranks = tuple(map(rank.__getitem__, self.members))
         self._index = dict(zip(self.members, count()))
-        self._bitsets = self._tables = None
+        self._bitsets = self._cube = None
 
     def _order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(below, above), built by one containment scan on the first call."""
@@ -163,36 +197,23 @@ class RankedLattice:
             self._bitsets = tuple(below), tuple(above)
         return self._bitsets
 
-    def _bound_tables(self) -> tuple[dict[int, int], dict[int, int]]:
-        """(meet_of, join_of), built on the first call and kept: the member
-        index of the meet of each mask Zi & Zj and of the join of each mask
-        Zi | Zj over the pairs i < j, each member mapped to itself.
-
-        The meet of two members is the greatest member inside both, so it
-        depends on Zi & Zj alone, and the join on Zi | Zj alone.  Row i
-        maps Zi over the later members, and a mask new to a table is
-        resolved once by ``_meet`` or ``_join`` on the first pair that
-        makes it, so the first pair without a bound raises NotALattice.
-
-        Rows are resolved meets first, yet the refusal is the first of a
-        pair-by-pair scan that asks for the meet before the join, because
-        the first row with a refused pair refuses one kind only.  A pair
-        (i, j) without a meet either has no common lower bound, and then
-        row 0 refuses a meet at each of its incomparable pairs, one of
-        which is (0, i) or (0, j); or it has two largest common lower
-        bounds A and B, smaller than Zi, and then A and B have no join (it
-        would lie inside Zi and Zj and contain both, a larger common lower
-        bound), so an earlier row refuses.
-        """
-        if self._tables is None:
-            below, above = self._order()
-            meet_of, join_of = dict(self._index), dict(self._index)
-            for i, zi in enumerate(self.members):
-                later = self.members[i + 1:]
-                _resolve(meet_of, list(map(zi.__and__, later)), self._meet, below, i)
-                _resolve(join_of, list(map(zi.__or__, later)), self._join, above, i)
-            self._tables = meet_of, join_of
-        return self._tables
+    def _hulls(self) -> tuple[memoryview, memoryview]:
+        """(inner, outer) of ``_cube_hulls``, built on the first call and
+        kept once the family has passed the certificate or the pair pass;
+        else NotALattice for the first pair without a meet or a join."""
+        if self._cube is None:
+            members, index, k = self.members, self._index, len(self.members)
+            hulls = inner, outer = _cube_hulls(self.ground.n, members)
+            if len(inner) >= k * (k - 1) // 2 or not _certified(index, inner, outer):
+                meets = map(inner.__getitem__, starmap(and_, combinations(members, 2)))
+                joins = map(outer.__getitem__, starmap(or_, combinations(members, 2)))
+                bounded = map(and_, map(index.__contains__, meets), map(index.__contains__, joins))
+                for i, j in compress(combinations(range(k), 2), map(not_, bounded)):
+                    zi, zj = members[i], members[j]
+                    side = "lower" if inner[zi & zj] not in index else "upper"
+                    raise NotALattice(self.ground, zi, zj, f"no unique {side} bound")
+            self._cube = hulls
+        return self._cube
 
     @property
     def bottom(self) -> int:
@@ -223,31 +244,16 @@ class RankedLattice:
         return self.ranks[self._require(mask)]
 
     def meet(self, first: int, second: int) -> int:
-        below = self._order()[0]
-        return self.members[self._meet(below, self._require(first), self._require(second))]
+        """The greatest member inside both, ``inner`` of their intersection."""
+        self._require(first)
+        self._require(second)
+        return self._hulls()[0][first & second]
 
     def join(self, first: int, second: int) -> int:
-        above = self._order()[1]
-        return self.members[self._join(above, self._require(first), self._require(second))]
-
-    def _meet(self, below: tuple[int, ...], i: int, j: int) -> int:
-        """The index of the greatest lower bound of members i and j, read
-        from ``below`` of the order.  Cardinality order puts it last among
-        their common lower bounds; it is one exactly when it holds them all."""
-        common = below[i] & below[j]
-        glb = common.bit_length() - 1
-        if common and not common & ~below[glb]:
-            return glb
-        raise NotALattice(self.ground, self.members[i], self.members[j], "no unique lower bound")
-
-    def _join(self, above: tuple[int, ...], i: int, j: int) -> int:
-        """The index of the least upper bound, read from ``above``: the first
-        common upper bound, if it lies inside all of them."""
-        common = above[i] & above[j]
-        lub = (common & -common).bit_length() - 1
-        if common and not common & ~above[lub]:
-            return lub
-        raise NotALattice(self.ground, self.members[i], self.members[j], "no unique upper bound")
+        """The least member containing both, ``outer`` of their union."""
+        self._require(first)
+        self._require(second)
+        return self._hulls()[1][first | second]
 
     def covers(self) -> list[tuple[int, int]]:
         """The Hasse relation: (low, high) member pairs, high covering low."""
@@ -278,14 +284,15 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
-def _resolve(table: dict[int, int], masks: list[int], bound, order, i: int) -> None:
-    """Enter each mask of row i that ``table`` lacks, as ``bound(order, i,
-    j)`` for the first later member j that makes it.  ``masks[t]`` comes
-    from member i + 1 + t, and the masks still missing are met in order."""
-    at = -1
-    for mask in filterfalse(table.__contains__, masks):
-        at = masks.index(mask, at + 1)
-        table[mask] = bound(order, i, i + 1 + at)
+def _certified(index: dict[int, int], inner: memoryview, outer: memoryview) -> bool:
+    """Whether the family keyed by ``index`` is a lattice, read off its
+    hulls: inner[X] is a member at every X with outer[X] == X, and outer[U]
+    at every U with inner[U] == U (see the module docstring)."""
+    cube = range(len(inner))
+    return all(map(index.__contains__, chain(
+        map(inner.__getitem__, compress(cube, map(eq, outer, cube))),
+        map(outer.__getitem__, compress(cube, map(eq, inner, cube))),
+    )))
 
 
 def validate_lattice(
@@ -421,19 +428,24 @@ def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
 def _exchange(lattice: RankedLattice, ranks, masses):
     """The C3 inequality for each pair i < j that fails it, in index order.
 
-    ``high`` holds rank(join) for each union Zi | Zj and ``low`` holds
-    rank(meet) + mu(X - meet) for each intersection X = Zi & Zj, read from
-    the bound tables.  One pass of maps over ``combinations`` tests every
-    pair, comparable ones included, since they hold C3 with equality, and
-    only the pairs that fail come out of ``compress``.
+    Over the subset cube, ``high[U]`` is rank(outer[U]), the rank of the
+    join of a pair with union U, and ``low[X]`` is rank(inner[X]) + mu(X) -
+    mu(inner[X]), the rank of the meet of a pair with intersection X plus
+    mu(X - meet); masks whose hull is no member get rank 0, and no pair
+    reads them.  ``mu`` is listed by doubling, element by element, and
+    dropped before ``high`` is built.  One pass of maps over
+    ``combinations`` tests every pair, comparable ones included, since they
+    hold C3 with equality, and only the pairs that fail come out of
+    ``compress``.
     """
     members = lattice.members
-    meet_of, join_of = lattice._bound_tables()
-    high = {u: ranks[t] for u, t in join_of.items()}
-    low = {
-        x: ranks[t] + sum(map(masses.__getitem__, bits(x & ~members[t])))
-        for x, t in meet_of.items()
-    }
+    inner, outer = lattice._hulls()
+    rank, mu = dict(zip(members, ranks)), [0]
+    for mass in masses:
+        mu += list(map(add, mu, repeat(mass)))
+    low = list(map(add, map(rank.get, inner, repeat(0)), map(sub, mu, map(mu.__getitem__, inner))))
+    del mu
+    high = list(map(rank.get, outer, repeat(0)))
     joins = map(high.__getitem__, starmap(or_, combinations(members, 2)))
     meets = map(low.__getitem__, starmap(and_, combinations(members, 2)))
     fails = map(lt, starmap(add, combinations(ranks, 2)), map(add, joins, meets))
@@ -450,8 +462,8 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     Ranks and point masses are read as ints over their common denominator
     d, or as the ``Fraction`` values when d would be too long (see
     ``model``); each condition is one loop over its inequalities, and only
-    a witness turns back into ``Fraction``.  C3 reads the bound tables,
-    which a lattice checked when it was built already holds.
+    a witness turns back into ``Fraction``.  C3 reads the hulls, which a
+    lattice checked when it was built already holds.
     """
     if mu.ground.names != lattice.ground.names:
         raise GroundSetMismatch("measure and lattice use different ground sets")

@@ -38,7 +38,9 @@ entry point here that takes the held pair and picks its own form:
 ``_axiom_violations`` (the least negative value, monotone step and local
 exchange that fail), ``_marked_flats`` (the flats or cyclic flats in mask
 order) and ``_least_covers`` (the superset-min transform and the measure
-recurrence behind both convolutions).  Each pairs every subset A with
+recurrence behind both convolutions).  A fourth, ``_cube_hulls``, walks
+the subsets of a ground set for a lattice's members: the union of the
+members inside each subset and the intersection of those containing it.  Each pairs every subset A with
 A + i, one element i at a time, on the subset-cube layout of Yates's method
 and of the zeta transforms in Bjorklund, Husfeldt, Kaski and Koivisto
 ("Fourier meets Moebius: fast subset convolution", STOC 2007).  Where the
@@ -399,17 +401,29 @@ def _pack(d: int | None, v: list, extra: int = 0) -> tuple[_Fields, int, int] | 
     if fields is None:
         return None
     table = array(_TYPECODE[fields.width], map(sub, v, repeat(low)) if low else v)
+    return fields, _packed(table), low
+
+
+def _packed(entries: array) -> int:
+    """The packed table of an array holding one field per mask, in mask
+    order (the array is byte-swapped in place on a big-endian host)."""
     if sys.byteorder == "big":
-        table.byteswap()
-    return fields, int.from_bytes(table.tobytes(), "little"), low
+        entries.byteswap()
+    return int.from_bytes(entries.tobytes(), "little")
+
+
+def _field_array(fields: _Fields, table: int) -> array:
+    """The fields of a packed table as an array, one entry per mask."""
+    out = array(_TYPECODE[fields.width], table.to_bytes((fields.width << fields.n) // 8, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def _unpack(fields: _Fields, table: int, low: int) -> list[int]:
     """The ints a packed table stands for, its least value ``low`` added
     back: one int object per distinct value, as tables repeat few values."""
-    out = array(_TYPECODE[fields.width], table.to_bytes((fields.width << fields.n) // 8, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
+    out = _field_array(fields, table)
     value = {x: x + low for x in set(out)}
     return list(map(value.__getitem__, out))
 
@@ -539,6 +553,37 @@ def _least_covers(d: int | None, h: list, weights: list = ()) -> list:
         for lo, hi in _halves(size, 1 << i):
             h[hi] = map(min, h[hi], map(add, h[lo], repeat(w)))
     return h
+
+
+def _cube_hulls(n: int, members: tuple[int, ...]) -> tuple[memoryview, memoryview]:
+    """(inner, outer) over all 2^n masks: ``inner[X]`` is the union of the
+    members inside X (0 if none), ``outer[U]`` the intersection of the
+    members containing U (the ground set E if none).
+
+    Each is a subset-cube transform on a packed table, the field of mask m
+    at bit m·W in ``_packing``'s narrowest layout that holds a mask.  Seeded
+    with each member Z at Z, pass i ORs the field of each X without i into
+    that of X + i, which leaves the union of the members inside X at X.
+    Seeded with E - Z at each member Z, the same passes run downwards, each
+    U + i into U, leave E - outer[U] at U.  So n passes of a few whole-table
+    int operations build each hull.
+    """
+    # _packing keeps two bits above a span spare, so fields that hold E >> 2
+    # are the narrowest of 8, 16 or 32 bits that hold a mask
+    full = (1 << n) - 1
+    fields = _packing(n, full >> 2)
+    inner = array(_TYPECODE[fields.width], bytes(fields.width << n >> 3))
+    missed = inner[:]
+    for z in members:
+        inner[z], missed[z] = z, full ^ z
+    inner, missed = _packed(inner), _packed(missed)
+    for i in range(n):
+        # E in the field of each mask without i
+        step, without = fields.width << i, (fields.guards(i) >> (fields.width - 1)) * full
+        inner |= (inner & without) << step
+        missed |= (missed >> step) & without
+    inner = memoryview(_field_array(fields, inner)).toreadonly()
+    return inner, memoryview(_field_array(fields, fields.fill(full) ^ missed)).toreadonly()
 
 
 def _check_ground_size(n: int) -> None:

@@ -289,6 +289,24 @@ def pair_scan_reference(ground, elements):
     return meet, join
 
 
+def cube_hulls_reference(n, members) -> tuple[list[int], list[int]]:
+    """(inner, outer) for every mask X of an n-element ground, each from a
+    scan over every member: the union of the members inside X (0 if none)
+    and the intersection of the members containing X (the ground set if
+    none)."""
+    inner, outer = [], []
+    for x in range(1 << n):
+        union, common = 0, (1 << n) - 1
+        for m in members:
+            if not m & ~x:
+                union |= m
+            if not x & ~m:
+                common &= m
+        inner.append(union)
+        outer.append(common)
+    return inner, outer
+
+
 def order_bitsets_reference(members) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(below, above): bit t of ``below[i]`` set when member t lies inside
     member i, of ``above[i]`` when member t contains member i, each from a

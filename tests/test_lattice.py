@@ -25,7 +25,7 @@ from polyflats import (
     reconstruction_failure,
     validate_lattice,
 )
-from polyflats import constructions
+from polyflats import constructions, lattice
 from polyflats.files import lattice_dot, write_lattice
 from polyflats.model import _common_denominator
 
@@ -124,54 +124,44 @@ def test_validate_rejects_missing_join():
 
 
 def test_conditions_stop_at_the_c3_witness_of_a_checked_lattice(monkeypatch):
-    # the constructor found every pair's bounds, so C3 reads them from the
-    # held tables and asks for no meet or join of its own
+    # the constructor built and checked the hulls, so C3 reads the held
+    # ones and builds none of its own
     g = ground("abcd")
     pairs = [m for m in range(16) if m.bit_count() == 2]
     lat = validate_lattice(g, [(0, 0), (g.full, 2)] + [(m, 1) for m in pairs])
 
-    def refuse(self, order, i, j):
-        raise AssertionError(f"C3 asked for a bound of members {i} and {j}")
+    def refuse(n, members):
+        raise AssertionError(f"C3 built hulls for {len(members)} members")
 
-    monkeypatch.setattr(RankedLattice, "_meet", refuse)
-    monkeypatch.setattr(RankedLattice, "_join", refuse)
+    monkeypatch.setattr(lattice, "_cube_hulls", refuse)
     rep = check_conditions(lat, mu_from(g, [1] * g.n))
     assert rep.c3.witness.subsets == (0b0011, 0b0101)
 
 
 def test_bound_tables_are_built_once_for_a_lattice_checked_twice(monkeypatch):
-    tables, asked = [], collections.Counter()
-    build, meet, join = RankedLattice._bound_tables, RankedLattice._meet, RankedLattice._join
+    # the bounds live in the two subset-cube hulls, built once by the
+    # constructor and read by both checks, meet and join
+    built = []
+    build = lattice._cube_hulls
 
-    def record(self):
-        tables.append(build(self))
-        return tables[-1]
+    def record(n, members):
+        built.append(build(n, members))
+        return built[-1]
 
-    def counted(bound, name):
-        def ask(self, order, i, j):
-            asked[name] += 1
-            return bound(self, order, i, j)
-        return ask
-
-    monkeypatch.setattr(RankedLattice, "_bound_tables", record)
-    monkeypatch.setattr(RankedLattice, "_meet", counted(meet, "meet"))
-    monkeypatch.setattr(RankedLattice, "_join", counted(join, "join"))
-    _, built, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
-    lat = validate_lattice(built.ground, built.items())
-    after_construction = dict(asked)
+    monkeypatch.setattr(lattice, "_cube_hulls", record)
+    _, made, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
+    lat = validate_lattice(made.ground, made.items())
     first, second = check_conditions(lat, mu), check_conditions(lat, mu)
-    # each distinct intersection and union was resolved once, while building
-    assert asked == after_construction
-    assert len(tables) == 3 and all(held is tables[0] for held in tables)
+    assert len(built) == 1 and lat._hulls() is built[0]
     assert first == second == _oracles.check_conditions_reference(lat, mu)
-    meet_of, join_of = tables[0]
-    k = len(lat)
-    assert after_construction == {"meet": len(meet_of) - k, "join": len(join_of) - k}
+    inner, outer = built[0]
+    meet, join = _oracles.pair_scan_reference(lat.ground, list(lat.items()))
     members = lat.members
     for i, z1 in enumerate(members):
-        for z2 in members[i + 1:]:
-            assert members[meet_of[z1 & z2]] == lat.meet(z1, z2)
-            assert members[join_of[z1 | z2]] == lat.join(z1, z2)
+        for j, z2 in enumerate(members):
+            assert inner[z1 & z2] == lat.meet(z1, z2) == members[meet[i][j]]
+            assert outer[z1 | z2] == lat.join(z1, z2) == members[join[i][j]]
+    assert len(built) == 1
 
 
 def test_rank_of_unknown_member():
@@ -515,13 +505,23 @@ def test_paving_lattices_match_the_reference_report():
         assert family[at][0] in (z1, z2) and (z1 & z2).bit_count() == 5
 
 
-def _order_matches_pair_scan(g, elements) -> str | None:
+def _order_matches_pair_scan(g, elements) -> tuple[str, str | None]:
     """validate_lattice and the constructor against the per-pair member
     scan: the same first NotALattice, or the same meet, join and DOT text.
-    Returns the failure reason, None for a lattice."""
+    The hulls must match their definition on every mask, and the
+    certificate must hold exactly for the lattices.  Returns which check
+    the size rule picks, the certificate or the pair pass, and the failure
+    reason, None for a lattice."""
+    members = sorted(dict(elements), key=lambda m: (m.bit_count(), m))
+    inner, outer = lattice._cube_hulls(g.n, members)
+    assert (list(inner), list(outer)) == _oracles.cube_hulls_reference(g.n, members)
+    certified = lattice._certified({m: i for i, m in enumerate(members)}, inner, outer)
+    k = len(members)
+    path = "certificate" if 1 << g.n < k * (k - 1) // 2 else "pair pass"
     try:
         meet, join = _oracles.pair_scan_reference(g, elements)
     except NotALattice as expected:
+        assert not certified
         for build in (validate_lattice, RankedLattice):
             with pytest.raises(NotALattice) as info:
                 build(g, elements)
@@ -535,20 +535,21 @@ def _order_matches_pair_scan(g, elements) -> str | None:
         with pytest.raises(NotALattice) as info:
             bound(got.first, got.second)
         assert str(info.value) == str(expected)
-        return got.reason
+        return path, got.reason
+    assert certified
     lat = validate_lattice(g, elements)
-    members = lat.members
     for i, a in enumerate(members):
         for j, b in enumerate(members):
             assert lat.meet(a, b) == members[meet[i][j]]
             assert lat.join(a, b) == members[join[i][j]]
     assert lattice_dot(lat) == _oracles.dot_reference(lat)
-    return None
+    return path, None
 
 
 def test_order_bitsets_match_pair_scan_on_random_families():
     # arbitrary families, some widened by their overall intersection and
-    # union: about half of them are not lattices
+    # union: about half of them are not lattices, and the member counts put
+    # lattices and both refusals on each side of the size rule
     rng = random.Random(2026)
     outcomes = collections.Counter()
     for _ in range(4000):
@@ -563,9 +564,15 @@ def test_order_bitsets_match_pair_scan_on_random_families():
         g = ground("abcdef"[:n])
         elements = [(m, Fraction(rng.randrange(4), rng.randrange(1, 3))) for m in masks]
         outcomes[_order_matches_pair_scan(g, elements)] += 1
-    assert 1600 < outcomes[None] < 2400
-    assert outcomes["no unique lower bound"] > 500
-    assert outcomes["no unique upper bound"] > 300
+    reasons = collections.Counter()
+    for (_, reason), times in outcomes.items():
+        reasons[reason] += times
+    assert 1600 < reasons[None] < 2400
+    assert reasons["no unique lower bound"] > 500
+    assert reasons["no unique upper bound"] > 300
+    for path in ("certificate", "pair pass"):
+        for reason in (None, "no unique lower bound", "no unique upper bound"):
+            assert outcomes[path, reason] > 150, (path, reason)
     print(f"order parity on 4000 random families: {dict(outcomes)}")
 
 
@@ -573,7 +580,7 @@ def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
     lattices = [lat for _, lat, _ in corpus.harvested()]
     lattices += [helgason_lattice(f)[0] for f in corpus.integer_corpus()]
     for lat in lattices:
-        assert _order_matches_pair_scan(lat.ground, list(lat.items())) is None
+        assert _order_matches_pair_scan(lat.ground, list(lat.items()))[1] is None
     assert len(lattices) > 600
 
 
@@ -618,11 +625,13 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
 
 def test_lattices_the_library_convolves_or_writes_never_build_an_order(monkeypatch, tmp_path):
     # the constructions, the round trip and the lattice writer read members
-    # and ranks alone, so none of them may pay for the containment scan
+    # and ranks alone, so none of them may pay for the containment scan or
+    # the subset-cube hulls
     def refuse(self):
-        raise AssertionError(f"order built for a lattice of {len(self)} members")
+        raise AssertionError(f"order or hulls built for a lattice of {len(self)} members")
 
     monkeypatch.setattr(RankedLattice, "_order", refuse)
+    monkeypatch.setattr(RankedLattice, "_hulls", refuse)
     for f in corpus.integer_corpus():
         helgason_expand(f)
     for spec in corpus.infiltration_specs():
@@ -644,9 +653,11 @@ def test_validation_conditions_and_covers_build_the_order_once(monkeypatch):
     monkeypatch.setattr(RankedLattice, "_order", record)
     _, built, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
     lat = validate_lattice(built.ground, built.items())
+    # the constructor checks the lattice laws on the hulls, without the order
+    assert not orders
     assert check_conditions(lat, mu).theorem_conditions_pass()
     assert lat.covers()
-    assert len(orders) >= 3 and all(order is orders[0] for order in orders)
+    assert len(orders) >= 2 and all(order is orders[0] for order in orders)
     assert orders[0] == _oracles.order_bitsets_reference(lat.members)
 
 
