@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations
 from json.encoder import encode_basestring
 from operator import add, eq
@@ -123,19 +124,21 @@ class _FileOrder(NamedTuple):
 # commands in turn cycles through more grounds than that.
 _KEPT_ORDER_BITS = 12
 _KEPT_ORDERS = 8
-_orders: dict[tuple[str, ...], _FileOrder] = {}
 
 
 def _file_order(ground: GroundSet) -> _FileOrder:
-    """The ``_FileOrder`` of ``ground``, built in C: ``combinations`` over
-    the labels in sorted order yields each cardinality's subsets in the
-    order of their sorted label tuples, which is the order of ``_ordered``.
-    JSON escapes a string one character at a time and leaves commas alone,
-    so joining the escaped labels escapes the key."""
-    order = _orders.pop(ground.names, None)
-    if order is not None:
-        _orders[ground.names] = order  # now the one used last
-        return order
+    """The ``_FileOrder`` of ``ground``: the kept lists of a small ground,
+    else fresh iterators."""
+    return _kept_order(ground) if ground.n <= _KEPT_ORDER_BITS else _built_order(ground)
+
+
+def _built_order(ground: GroundSet) -> _FileOrder:
+    """The file order, built in C: ``combinations`` over the labels in
+    sorted order yields each cardinality's subsets in the order of their
+    sorted label tuples, which is the order of ``_ordered``.  JSON escapes a
+    string one character at a time and leaves commas alone, so joining the
+    escaped labels escapes the key.  A small ground's order is listed, the
+    keys' list standing for the quoted keys when no label needs escaping."""
     labels = sorted(ground.names)
     escaped = [encode_basestring(label)[1:-1] for label in labels]
     singletons = [ground.singleton(label) for label in labels]
@@ -148,11 +151,11 @@ def _file_order(ground: GroundSet) -> _FileOrder:
     if ground.n > _KEPT_ORDER_BITS:
         return _FileOrder(joined(labels), joined(escaped), masks)
     keys = list(joined(labels))
-    order = _FileOrder(keys, keys if escaped == labels else list(joined(escaped)), list(masks))
-    if len(_orders) >= _KEPT_ORDERS:
-        del _orders[next(iter(_orders))]
-    _orders[ground.names] = order
-    return order
+    return _FileOrder(keys, keys if escaped == labels else list(joined(escaped)), list(masks))
+
+
+# keyed by the GroundSet, which hashes and compares by its names
+_kept_order = lru_cache(maxsize=_KEPT_ORDERS)(_built_order)
 
 
 def _refuse_commas(ground: GroundSet) -> None:
@@ -233,11 +236,11 @@ def _from_rank_items(ground: GroundSet, rank: dict) -> SetFunction:
 
 def lattice_to_doc(lattice: RankedLattice) -> dict:
     _refuse_commas(lattice.ground)
-    ground = lattice.ground
+    ground, rank = lattice.ground, dict(lattice.items())
     return {
         "ground": list(ground.names),
         "elements": [
-            {"set": list(labels), "rank": format_rational(lattice.rank_of(m))}
+            {"set": list(labels), "rank": format_rational(rank[m])}
             for labels, m in _ordered(ground, lattice.members)
         ],
     }
@@ -356,13 +359,13 @@ def write_measure(mu: Measure, path) -> None:
 
 def lattice_dot(lattice: RankedLattice) -> str:
     """Hasse diagram in DOT, nodes ordered by (cardinality, labels)."""
-    ground = lattice.ground
+    ground, rank = lattice.ground, dict(lattice.items())
     ordered = _ordered(ground, lattice.members)
     node_id = {m: i for i, (_, m) in enumerate(ordered)}
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for i, (labels, m) in enumerate(ordered):
         name = ("{" + ",".join(labels) + "}").replace("\\", "\\\\").replace('"', '\\"')
-        label = f"{name}\\n{format_rational(lattice.rank_of(m))}"
+        label = f"{name}\\n{format_rational(rank[m])}"
         lines.append(f'  n{i} [label="{label}"];')
     for low, high in sorted((node_id[a], node_id[b]) for a, b in lattice.covers()):
         lines.append(f"  n{low} -> n{high};")

@@ -19,16 +19,17 @@ smaller than the set intersection.
 Each condition is a list of required inequalities in scan order, and one
 loop reports the first that fails, so each inequality is written once.  The
 loop compares ranks and point masses as ints over their common denominator
-(see ``model``) and turns only a witness back into ``Fraction``.  C2 and C*
-take mu(Z2 - Z1) as mu(Z2) - mu(Z1), and C2 is scanned only when C* fails,
-since C* bounds the same differences strictly.  C3 reads the lattice's
-hulls (below): rank(outer[U]), the rank of the join of a pair with union
-U, and rank(inner[X]) + mu(X) - mu(inner[X]), the rank of the meet of a
-pair with intersection X plus the measure the meet leaves out, are listed
-over the whole subset cube by C-level maps, with mu listed from the point
-masses by n doublings, and one pass of maps tests every pair.  A
-comparable pair holds C3 with equality, so no pair is filtered out, and
-only failing pairs come back to Python.
+(see ``model``) and turns only a witness back into ``Fraction``.  mu is
+listed once over the whole subset cube, from the point masses by n
+doublings.  C2 and C* take mu(Z2 - Z1) as mu(Z2) - mu(Z1) from that list,
+and C2 is scanned only when C* fails, since C* bounds the same differences
+strictly.  C3 reads the lattice's hulls (below): rank(outer[U]), the rank
+of the join of a pair with union U, and rank(inner[X]) + mu(X) -
+mu(inner[X]), the rank of the meet of a pair with intersection X plus the
+measure the meet leaves out, are listed over the subset cube by C-level
+maps, and one pass of maps tests every pair.  A comparable pair holds C3
+with equality, so no pair is filtered out, and only failing pairs come
+back to Python.
 
 The lattice laws are checked once, where a family enters the library:
 ``RankedLattice(ground, family)`` refuses a bad mask, a repeated member, a
@@ -72,17 +73,19 @@ certificate when 2^n < k(k-1)/2 and the pair pass otherwise.  Both passes
 stay: the certificate only says whether the family is a lattice, so a
 family that fails it goes through the pair pass too, which names the first
 pair in member order without a meet or a join, the meet asked for first.
-The hulls, and the member order that C2, C* and ``covers`` read, are built
-on first use and kept, so a lattice the library builds only for a
-convolution pays for neither.
+A lattice holds only its members, ranks and hulls.  The hulls are built on
+first use and kept, so a lattice the library builds only for a convolution
+pays for none; the containment order that C2, C* and ``covers`` read is
+built by each call that reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, compress, count, repeat, starmap
+from itertools import chain, combinations, compress, repeat, starmap
 from operator import add, and_, eq, ge, gt, le, lt, not_, or_, sub
 from typing import Iterable, Iterator
 
@@ -124,25 +127,22 @@ class ElementNotInLattice(LatticeError):
 
 
 class RankedLattice:
-    """A lattice of subsets with a rank on each member, its order and hulls
-    built on demand.
+    """A lattice of subsets with a rank on each member, and the hulls its
+    check built.
 
     Members are sorted by (cardinality, bit pattern), so the bottom is
-    ``members[0]`` and the top is ``members[-1]``.  ``_order()`` builds the
-    order on its first call and keeps it, as two tuples of bitsets over
-    member indices: bit t of ``below[i]`` is set when member t lies inside
-    member i, bit t of ``above[i]`` when member t contains member i (both
-    include i itself).  ``_hulls()`` builds ``inner`` and ``outer`` (see the
-    module docstring) as read-only views with one 8-, 16- or 32-bit field
-    per mask, checks the family with the certificate when 2^n < k(k-1)/2 or
-    else with the pair pass, and keeps them; meet and join read them.  The
-    constructor checks the family, which builds the hulls and not the
-    order; ``_from_family`` skips the check and builds neither, since a
+    ``members[0]`` and the top is ``members[-1]``, and a member is found by
+    bisection in that order.  ``_hulls()`` builds ``inner`` and ``outer``
+    (see the module docstring) as read-only views with one 8-, 16- or
+    32-bit field per mask, checks the family with the certificate when
+    2^n < k(k-1)/2 or else with the pair pass, and keeps them; meet and
+    join read them.  The constructor checks the family, which builds the
+    hulls; ``_from_family`` skips the check and builds none, since a
     convolution reads members and ranks alone.  Immutable apart from the
-    held order and hulls.
+    held hulls.
     """
 
-    __slots__ = ("ground", "members", "ranks", "_index", "_bitsets", "_cube")
+    __slots__ = ("ground", "members", "ranks", "_cube")
 
     def __init__(self, ground: GroundSet, family: Iterable[tuple[int, Rational]]):
         """Check a ranked family and build its lattice.
@@ -180,37 +180,23 @@ class RankedLattice:
         self.ground = ground
         self.members = tuple(sorted(sorted(rank), key=int.bit_count))
         self.ranks = tuple(map(rank.__getitem__, self.members))
-        self._index = dict(zip(self.members, count()))
-        self._bitsets = self._cube = None
-
-    def _order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(below, above), built by one containment scan on the first call."""
-        if self._bitsets is None:
-            members, k = self.members, len(self.members)
-            below, above = [0] * k, [0] * k
-            # Distinct members in cardinality order: Zi inside Zj forces i <= j.
-            for i, low in enumerate(members):
-                for j in range(i, k):
-                    if not low & ~members[j]:
-                        below[j] |= 1 << i
-                        above[i] |= 1 << j
-            self._bitsets = tuple(below), tuple(above)
-        return self._bitsets
+        self._cube = None
 
     def _hulls(self) -> tuple[memoryview, memoryview]:
         """(inner, outer) of ``_cube_hulls``, built on the first call and
         kept once the family has passed the certificate or the pair pass;
         else NotALattice for the first pair without a meet or a join."""
         if self._cube is None:
-            members, index, k = self.members, self._index, len(self.members)
+            members, k = self.members, len(self.members)
+            member = set(members)
             hulls = inner, outer = _cube_hulls(self.ground.n, members)
-            if len(inner) >= k * (k - 1) // 2 or not _certified(index, inner, outer):
+            if len(inner) >= k * (k - 1) // 2 or not _certified(member, inner, outer):
                 meets = map(inner.__getitem__, starmap(and_, combinations(members, 2)))
                 joins = map(outer.__getitem__, starmap(or_, combinations(members, 2)))
-                bounded = map(and_, map(index.__contains__, meets), map(index.__contains__, joins))
+                bounded = map(and_, map(member.__contains__, meets), map(member.__contains__, joins))
                 for i, j in compress(combinations(range(k), 2), map(not_, bounded)):
                     zi, zj = members[i], members[j]
-                    side = "lower" if inner[zi & zj] not in index else "upper"
+                    side = "lower" if inner[zi & zj] not in member else "upper"
                     raise NotALattice(self.ground, zi, zj, f"no unique {side} bound")
             self._cube = hulls
         return self._cube
@@ -227,17 +213,22 @@ class RankedLattice:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._index
+        return isinstance(mask, int) and self._find(mask) is not None
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return zip(self.members, self.ranks)
 
+    def _find(self, mask: int) -> int | None:
+        """The position of ``mask`` among the members, by bisection in
+        member order, or None when it is no member."""
+        i = bisect_left(self.members, (mask.bit_count(), mask), key=lambda m: (m.bit_count(), m))
+        return i if i < len(self.members) and self.members[i] == mask else None
+
     def _require(self, mask: int) -> int:
-        idx = self._index.get(mask)
+        """The position of member ``mask``, after ``GroundSet.check_mask``."""
+        idx = self._find(self.ground.check_mask(mask))
         if idx is None:
-            raise ElementNotInLattice(
-                f"{self.ground.describe(mask)} is not in the lattice"
-            )
+            raise ElementNotInLattice(f"{self.ground.describe(mask)} is not in the lattice")
         return idx
 
     def rank_of(self, mask: int) -> Fraction:
@@ -256,8 +247,9 @@ class RankedLattice:
         return self._hulls()[1][first | second]
 
     def covers(self) -> list[tuple[int, int]]:
-        """The Hasse relation: (low, high) member pairs, high covering low."""
-        below, above = self._order()
+        """The Hasse relation: (low, high) member pairs, high covering low,
+        read off a containment scan of its own."""
+        below, above = _containment(self.members)
         out = []
         for i, up in enumerate(above):
             for j in bits(up & ~(1 << i)):
@@ -284,12 +276,27 @@ class RankedLattice:
         return f"RankedLattice({body})"
 
 
-def _certified(index: dict[int, int], inner: memoryview, outer: memoryview) -> bool:
-    """Whether the family keyed by ``index`` is a lattice, read off its
-    hulls: inner[X] is a member at every X with outer[X] == X, and outer[U]
-    at every U with inner[U] == U (see the module docstring)."""
+def _containment(members: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(below, above) of members in member order, by one containment scan:
+    bit t of ``below[i]`` is set when member t lies inside member i, bit t
+    of ``above[i]`` when member t contains member i (both include i)."""
+    k = len(members)
+    below, above = [0] * k, [0] * k
+    # Distinct members in cardinality order: Zi inside Zj forces i <= j.
+    for i, low in enumerate(members):
+        for j in range(i, k):
+            if not low & ~members[j]:
+                below[j] |= 1 << i
+                above[i] |= 1 << j
+    return tuple(below), tuple(above)
+
+
+def _certified(member: set[int], inner: memoryview, outer: memoryview) -> bool:
+    """Whether the family of ``member`` is a lattice, read off its hulls:
+    inner[X] is a member at every X with outer[X] == X, and outer[U] at
+    every U with inner[U] == U (see the module docstring)."""
     cube = range(len(inner))
-    return all(map(index.__contains__, chain(
+    return all(map(member.__contains__, chain(
         map(inner.__getitem__, compress(cube, map(eq, outer, cube))),
         map(outer.__getitem__, compress(cube, map(eq, inner, cube))),
     )))
@@ -410,39 +417,37 @@ def _first_failure(condition: str, required, value) -> Verdict:
     return Verdict(True)
 
 
-def _nested(lattice: RankedLattice, ranks, weights, lower: str, upper: str):
+def _nested(members, above, ranks, mu: list, lower: str, upper: str):
     """``diff lower 0`` then ``diff upper mu(Zj - Zi)`` for each nested pair.
 
-    The pairs Zi inside Zj come from ``above[i]`` without Zi itself, so j
-    ascends as in a scan over every pair.  ``weights`` holds the member
-    measures, whose differences are the measures of the differences.
+    The pairs Zi inside Zj come from ``above[i]`` of ``_containment``
+    without Zi itself, so j ascends as in a scan over every pair.  ``mu``
+    lists the measure of every mask, and mu(Zj) - mu(Zi) is the measure of
+    the difference.
     """
-    members, above = lattice.members, lattice._order()[1]
     for i, z1 in enumerate(members):
         for j in bits(above[i] & ~(1 << i)):
             pair, diff = (z1, members[j]), ranks[j] - ranks[i]
             yield pair, diff, lower, 0, None
-            yield pair, diff, upper, weights[j] - weights[i], None
+            yield pair, diff, upper, mu[pair[1]] - mu[z1], None
 
 
-def _exchange(lattice: RankedLattice, ranks, masses):
+def _exchange(lattice: RankedLattice, ranks, mu: list):
     """The C3 inequality for each pair i < j that fails it, in index order.
 
     Over the subset cube, ``high[U]`` is rank(outer[U]), the rank of the
     join of a pair with union U, and ``low[X]`` is rank(inner[X]) + mu(X) -
     mu(inner[X]), the rank of the meet of a pair with intersection X plus
     mu(X - meet); masks whose hull is no member get rank 0, and no pair
-    reads them.  ``mu`` is listed by doubling, element by element, and
-    dropped before ``high`` is built.  One pass of maps over
-    ``combinations`` tests every pair, comparable ones included, since they
-    hold C3 with equality, and only the pairs that fail come out of
-    ``compress``.
+    reads them.  ``mu`` lists the measure of every mask; the caller keeps
+    no other reference to it, so it is freed before ``high`` is built.  One
+    pass of maps over ``combinations`` tests every pair, comparable ones
+    included, since they hold C3 with equality, and only the pairs that
+    fail come out of ``compress``.
     """
     members = lattice.members
     inner, outer = lattice._hulls()
-    rank, mu = dict(zip(members, ranks)), [0]
-    for mass in masses:
-        mu += list(map(add, mu, repeat(mass)))
+    rank = dict(zip(members, ranks))
     low = list(map(add, map(rank.get, inner, repeat(0)), map(sub, mu, map(mu.__getitem__, inner))))
     del mu
     high = list(map(rank.get, outer, repeat(0)))
@@ -471,17 +476,22 @@ def check_conditions(lattice: RankedLattice, mu: Measure) -> ConditionReport:
     d, scaled = _common_denominator(lattice.ranks + mu.singleton)
     ranks, masses = scaled[:k], scaled[k:]
     value = partial(_exact, d)
-    weights = [sum(masses[a] for a in bits(z)) for z in members]
-    outside = lattice.ground.full & ~members[0]
+    mu_of = [0]  # the measure of every mask, by doubling element by element
+    for mass in masses:
+        mu_of += list(map(add, mu_of, repeat(mass)))
+    above = _containment(members)[1]
     # C* passing bounds C2's differences strictly, so C2 is scanned only
     # when C* fails, for its own first witness
-    cstar = _first_failure("C*", _nested(lattice, ranks, weights, ">", "<"), value)
-    c2 = cstar or _first_failure("C2", _nested(lattice, ranks, weights, ">=", "<="), value)
+    cstar = _first_failure("C*", _nested(members, above, ranks, mu_of, ">", "<"), value)
+    c2 = cstar or _first_failure("C2", _nested(members, above, ranks, mu_of, ">=", "<="), value)
+    exchange = _exchange(lattice, ranks, mu_of)
+    del mu_of  # _exchange holds the last reference and drops it before high
+    outside = lattice.ground.full & ~members[0]
     return ConditionReport(
         c1=_first_failure("C1", [((members[0],), ranks[0], "==", 0, None)], value),
         c2=c2,
         cstar=cstar,
-        c3=_first_failure("C3", _exchange(lattice, ranks, masses), value),
+        c3=_first_failure("C3", exchange, value),
         c4=_first_failure(
             "C4",
             (((z,), masses[a], "<=", r, a) for z, r in zip(members, ranks) for a in bits(z)),

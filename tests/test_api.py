@@ -189,6 +189,16 @@ MALFORMED = {
     "a lattice member that is not an int": (
         lambda: RankedLattice(XY, [("x", 0)]), PolyflatsError, "mask 'x' is not an int"
     ),
+    "the rank of a mask that is not an int": (
+        lambda: validate_lattice(XY, [(0, 0), (3, 2)]).rank_of([1]),
+        PolyflatsError,
+        "mask [1] is not an int",
+    ),
+    "the meet of a mask that is not an int": (
+        lambda: validate_lattice(XY, [(0, 0), (3, 2)]).meet([1], 0),
+        PolyflatsError,
+        "mask [1] is not an int",
+    ),
     "convolution of a member outside the ground set": (
         lambda: convolve(RankedLattice(XY, [(0, 0), (8, 1)]), Measure(XY, [1, 1])),
         PolyflatsError,

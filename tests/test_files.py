@@ -30,9 +30,9 @@ from polyflats.files import (
     _file_order,
     _from_rank_items,
     _ground_from_doc,
+    _kept_order,
     _load,
     _ordered,
-    _orders,
     dumps_canonical,
     expansion_to_doc,
     format_rational,
@@ -296,18 +296,21 @@ def test_codec_past_the_kept_orders():
 def test_file_order_memo_keeps_only_small_grounds():
     small = GroundSet(tuple(f"s{i}" for i in range(_KEPT_ORDER_BITS)))
     large = GroundSet(tuple(f"l{i}" for i in range(_KEPT_ORDER_BITS + 1)))
-    assert _file_order(small) is _file_order(small)
-    assert small.names in _orders
+    _kept_order.cache_clear()
+    kept = _file_order(small)
+    assert _file_order(small) is kept
+    assert _kept_order.cache_info()[:2] == (1, 1)  # one hit, one miss
     order = _file_order(large)
     assert sum(1 for _ in order.keys) == 1 << (_KEPT_ORDER_BITS + 1)
-    assert large.names not in _orders
     assert list(_file_order(large).masks) == [m for _, m in _ordered(large, large.subsets())]
+    # the large ground never reached the memo
+    assert _kept_order.cache_info()[:2] == (1, 1)
     for n in range(2 * _KEPT_ORDERS):
         _file_order(GroundSet(tuple(f"m{i}" for i in range(n))))
         # used again after each other ground, so never the one evicted
-        assert _file_order(small).keys[-1] == ",".join(sorted(small.names))
-    assert len(_orders) == _KEPT_ORDERS
-    assert small.names in _orders
+        assert _file_order(small) is kept
+    info = _kept_order.cache_info()
+    assert info.maxsize == info.currsize == _KEPT_ORDERS
 
 
 def test_rank_file_round_trip_at_n16(tmp_path):

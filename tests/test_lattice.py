@@ -168,6 +168,9 @@ def test_rank_of_unknown_member():
     _, lat = chain_lattice()
     with pytest.raises(ElementNotInLattice):
         lat.rank_of(0b01)
+    # anything that is not a member mask is not in the lattice
+    for other in ([1], [0b11], "x", 0b100, -1, None):
+        assert other not in lat
 
 
 def test_meet_join_on_two_triangle_lattice():
@@ -515,7 +518,7 @@ def _order_matches_pair_scan(g, elements) -> tuple[str, str | None]:
     members = sorted(dict(elements), key=lambda m: (m.bit_count(), m))
     inner, outer = lattice._cube_hulls(g.n, members)
     assert (list(inner), list(outer)) == _oracles.cube_hulls_reference(g.n, members)
-    certified = lattice._certified({m: i for i, m in enumerate(members)}, inner, outer)
+    certified = lattice._certified(set(members), inner, outer)
     k = len(members)
     path = "certificate" if 1 << g.n < k * (k - 1) // 2 else "pair pass"
     try:
@@ -543,6 +546,17 @@ def _order_matches_pair_scan(g, elements) -> tuple[str, str | None]:
             assert lat.meet(a, b) == members[meet[i][j]]
             assert lat.join(a, b) == members[join[i][j]]
     assert lattice_dot(lat) == _oracles.dot_reference(lat)
+    # member lookup by bisection, on every mask of the ground: the first
+    # and last member, and non-members between members of equal size
+    for built in (lat, RankedLattice._from_family(g, elements)):
+        rank = dict(built.items())
+        for m in g.subsets():
+            assert (m in built) == (m in rank)
+            if m in rank:
+                assert built.rank_of(m) == rank[m]
+            else:
+                with pytest.raises(ElementNotInLattice):
+                    built.rank_of(m)
     return path, None
 
 
@@ -588,8 +602,8 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
     # cyclic_flats, helgason_lattice, infiltrate_via_lattices and
     # normalize_pointed build their lattices through the unchecked
     # _from_family.  The checking constructor must accept each family and
-    # give back the same lattice, and the order bitsets must be the
-    # containment relation
+    # give back the same lattice, and the containment order of its members
+    # must be the relation the reference scan finds
     built = collections.Counter()
     real_convolve_lattices = constructions.convolve_lattices
 
@@ -601,8 +615,7 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
     def check(lat, kind):
         again = validate_lattice(lat.ground, lat.items())
         assert (again.members, again.ranks) == (lat.members, lat.ranks)
-        assert again._order() == lat._order()
-        assert lat._order() == _oracles.order_bitsets_reference(lat.members)
+        assert lattice._containment(lat.members) == _oracles.order_bitsets_reference(lat.members)
         built[kind] += 1
 
     for _, lat, _ in corpus.harvested():
@@ -627,10 +640,10 @@ def test_lattices_the_library_convolves_or_writes_never_build_an_order(monkeypat
     # the constructions, the round trip and the lattice writer read members
     # and ranks alone, so none of them may pay for the containment scan or
     # the subset-cube hulls
-    def refuse(self):
-        raise AssertionError(f"order or hulls built for a lattice of {len(self)} members")
+    def refuse(arg):
+        raise AssertionError(f"order or hulls built for {len(arg)} members")
 
-    monkeypatch.setattr(RankedLattice, "_order", refuse)
+    monkeypatch.setattr(lattice, "_containment", refuse)
     monkeypatch.setattr(RankedLattice, "_hulls", refuse)
     for f in corpus.integer_corpus():
         helgason_expand(f)
@@ -644,21 +657,27 @@ def test_lattices_the_library_convolves_or_writes_never_build_an_order(monkeypat
 
 def test_validation_conditions_and_covers_build_the_order_once(monkeypatch):
     orders = []
-    build = RankedLattice._order
+    build = lattice._containment
 
-    def record(self):
-        orders.append(build(self))
+    def record(members):
+        orders.append(build(members))
         return orders[-1]
 
-    monkeypatch.setattr(RankedLattice, "_order", record)
+    monkeypatch.setattr(lattice, "_containment", record)
     _, built, mu = max(corpus.harvested(), key=lambda entry: len(entry[1]))
     lat = validate_lattice(built.ground, built.items())
     # the constructor checks the lattice laws on the hulls, without the order
     assert not orders
     assert check_conditions(lat, mu).theorem_conditions_pass()
+    assert len(orders) == 1
+    # with the zero measure C* fails at the first nested pair, so C2 is
+    # scanned too, on the order C* read
+    report = check_conditions(lat, Measure(mu.ground, [0] * mu.ground.n))
+    assert not report.cstar and not report.c2
+    assert len(orders) == 2
     assert lat.covers()
-    assert len(orders) >= 2 and all(order is orders[0] for order in orders)
-    assert orders[0] == _oracles.order_bitsets_reference(lat.members)
+    assert len(orders) == 3
+    assert orders[0] == orders[1] == orders[2] == _oracles.order_bitsets_reference(lat.members)
 
 
 def test_normalize_pointed_keeps_a_rank_below_the_bottom():
@@ -667,8 +686,8 @@ def test_normalize_pointed_keeps_a_rank_below_the_bottom():
     g = ground("xy")
     lat = validate_lattice(g, [(0, 2), (0b01, 1), (0b11, 3)])
     shifted = normalize_pointed(lat)
-    assert shifted.ranks == (0, -1, 1)
-    assert shifted._order() == lat._order()
+    assert shifted.members == lat.members and shifted.ranks == (0, -1, 1)
+    assert lattice._containment(shifted.members) == _oracles.order_bitsets_reference(lat.members)
     rep = check_conditions(shifted, Measure(g, [1, 1]))
     assert rep.c1.passed and not rep.c2.passed
     assert rep.c2.witness.subsets == (0, 0b01)
