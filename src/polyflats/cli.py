@@ -75,8 +75,10 @@ def _cmd_cyclic_flats(args) -> int:
         return 1
     lattice, mu = cyclic_flats(f)
     print(f"cyclic flats: {len(lattice)}")
-    for m, rank in lattice.items():
-        print(f"  {f.ground.describe(m)} rank {files.format_rational(rank)}")
+    # the same labels the lattice file and the DOT text read
+    named = files._member_labels(lattice.ground, lattice.members)[0]
+    for labels, rank in zip(named, lattice.ranks):
+        print(f"  {{{','.join(labels)}}} rank {files.format_rational(rank)}")
     if args.lattice:
         files.write_lattice(lattice, args.lattice)
     if args.measure:

@@ -28,6 +28,16 @@ is read one key at a time: a key in its file-order place costs one string
 comparison, any other (out of order, or not canonical like ``"b,a"``) is
 split and parsed, so every refusal names the first bad key or value, as it
 always has.
+
+A lattice file is written the same way.  ``_member_labels`` works out each
+member's sorted labels and the members' file order once and keeps them for
+the last lattice, since the cyclic-flat listing, the lattice file and its
+DOT text each read them in turn.  ``lattice_text`` joins the document from
+them with each ground label escaped once, byte-identical to
+``dumps_canonical`` of the document; ``lattice_to_doc`` is that text parsed
+back.  The reader parses each distinct rank text once, and the lattice's
+constructor lets a plain int mask in range and a ``Fraction`` rank pass
+without the calls that would refuse anything else.
 """
 
 from __future__ import annotations
@@ -36,9 +46,9 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
 from json.encoder import encode_basestring
-from operator import add, eq
+from operator import add, and_, eq
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -102,11 +112,6 @@ def _ground_from_doc(doc) -> GroundSet:
         raise FileFormatError(str(exc)) from None
 
 
-def _ordered(ground: GroundSet, masks) -> list[tuple[tuple[str, ...], int]]:
-    """(sorted labels, mask) pairs in the file order: by cardinality, then labels."""
-    return sorted(((ground.sorted_labels(m), m) for m in masks), key=lambda p: (len(p[0]), p[0]))
-
-
 class _FileOrder(NamedTuple):
     """Every subset of a ground set in file order: its key, its key as it
     stands between the quotes in a file (each label JSON-escaped), and its
@@ -135,7 +140,7 @@ def _file_order(ground: GroundSet) -> _FileOrder:
 def _built_order(ground: GroundSet) -> _FileOrder:
     """The file order, built in C: ``combinations`` over the labels in
     sorted order yields each cardinality's subsets in the order of their
-    sorted label tuples, which is the order of ``_ordered``.  JSON escapes a
+    sorted label tuples, which is the file order.  JSON escapes a
     string one character at a time and leaves commas alone, so joining the
     escaped labels escapes the key.  A small ground's order is listed, the
     keys' list standing for the quoted keys when no label needs escaping."""
@@ -164,6 +169,13 @@ def _refuse_commas(ground: GroundSet) -> None:
             raise FileFormatError(f"label {label!r} contains a comma; not serializable")
 
 
+def _ground_text(ground: GroundSet) -> str:
+    """A file's opening brace and its "ground" list, as ``dumps_canonical``
+    writes them."""
+    names = ",\n".join("    " + encode_basestring(name) for name in ground.names)
+    return '{\n  "ground": [' + (f"\n{names}\n  " if names else "") + "],\n"
+
+
 def polymatroid_to_doc(f: SetFunction) -> dict:
     return json.loads(polymatroid_text(f))
 
@@ -177,8 +189,7 @@ def polymatroid_text(f: SetFunction) -> str:
     d, scaled = f._held
     text = {x: f'": "{format_rational(_exact(d, x))}"' for x in set(scaled)}
     order = _file_order(f.ground)
-    names = ",\n".join("    " + encode_basestring(name) for name in f.ground.names)
-    head = '{\n  "ground": [' + (f"\n{names}\n  " if names else "") + '],\n  "rank": {\n    "'
+    head = _ground_text(f.ground) + '  "rank": {\n    "'
     values = map(text.__getitem__, map(scaled.__getitem__, order.masks))
     return head + ',\n    "'.join(map(add, order.quoted, values)) + "\n  }\n}\n"
 
@@ -234,25 +245,52 @@ def _from_rank_items(ground: GroundSet, rank: dict) -> SetFunction:
     return SetFunction._from_held(ground, _held(texts, parsed))
 
 
+@lru_cache(maxsize=1)
+def _member_labels(
+    ground: GroundSet, members: tuple[int, ...]
+) -> tuple[tuple[tuple[str, ...], ...], tuple[int, ...]]:
+    """Each member's sorted labels, in member order, and the members'
+    positions in file order: by cardinality, then labels.  Kept for the
+    last lattice, which the lattice file, its DOT text and the cyclic-flat
+    listing each read in turn."""
+    labels = sorted(ground.names)
+    singletons = [ground.singleton(label) for label in labels]
+    named = tuple(tuple(compress(labels, map(and_, singletons, repeat(m)))) for m in members)
+    keys = [(len(names), names) for names in named]
+    return named, tuple(sorted(range(len(members)), key=keys.__getitem__))
+
+
 def lattice_to_doc(lattice: RankedLattice) -> dict:
-    _refuse_commas(lattice.ground)
-    ground, rank = lattice.ground, dict(lattice.items())
-    return {
-        "ground": list(ground.names),
-        "elements": [
-            {"set": list(labels), "rank": format_rational(rank[m])}
-            for labels, m in _ordered(ground, lattice.members)
-        ],
-    }
+    return json.loads(lattice_text(lattice))
+
+
+def lattice_text(lattice: RankedLattice) -> str:
+    """The lattice file of ``lattice``, as ``dumps_canonical`` writes its
+    document: one entry per member in file order, from the member's kept
+    labels, each escaped once per ground label."""
+    ground = lattice.ground
+    _refuse_commas(ground)
+    named, order = _member_labels(ground, lattice.members)
+    quoted = {name: encode_basestring(name) for name in ground.names}
+    entries = []
+    for i in order:
+        labels = ",\n        ".join(map(quoted.__getitem__, named[i]))
+        entries.append(
+            '    {\n      "set": [' + (f"\n        {labels}\n      " if labels else "")
+            + f'],\n      "rank": "{format_rational(lattice.ranks[i])}"\n    }}'
+        )
+    return _ground_text(ground) + '  "elements": [\n' + ",\n".join(entries) + "\n  ]\n}\n"
 
 
 def lattice_from_doc(doc) -> RankedLattice:
-    """Parse and validate; lattice-law failures surface as LatticeError."""
+    """Parse and validate; lattice-law failures surface as LatticeError.
+    Each distinct rank text is parsed once."""
     ground = _ground_from_doc(doc)
     elements = doc.get("elements")
     if not isinstance(elements, list):
         raise FileFormatError("lattice document needs an 'elements' list")
     family = []
+    parsed: dict[str, Fraction] = {}
     for entry in elements:
         if not isinstance(entry, dict) or "set" not in entry or "rank" not in entry:
             raise FileFormatError(f"bad lattice element {entry!r}")
@@ -263,7 +301,14 @@ def lattice_from_doc(doc) -> RankedLattice:
             mask = ground.subset(labels)
         except PolyflatsError as exc:
             raise FileFormatError(f"{exc} in member") from None
-        family.append((mask, parse_rational(entry["rank"])))
+        text = entry["rank"]
+        try:
+            rank = parsed[text]
+        except KeyError:
+            rank = parsed[text] = parse_rational(text)
+        except TypeError:  # unhashable, so not a string: parse_rational refuses it
+            rank = parse_rational(text)
+        family.append((mask, rank))
     return validate_lattice(ground, family)
 
 
@@ -346,7 +391,7 @@ def read_lattice(path) -> RankedLattice:
 
 
 def write_lattice(lattice: RankedLattice, path) -> None:
-    Path(path).write_text(dumps_canonical(lattice_to_doc(lattice)), encoding="utf-8")
+    Path(path).write_text(lattice_text(lattice), encoding="utf-8")
 
 
 def read_measure(path, ground: GroundSet) -> Measure:
@@ -359,14 +404,14 @@ def write_measure(mu: Measure, path) -> None:
 
 def lattice_dot(lattice: RankedLattice) -> str:
     """Hasse diagram in DOT, nodes ordered by (cardinality, labels)."""
-    ground, rank = lattice.ground, dict(lattice.items())
-    ordered = _ordered(ground, lattice.members)
-    node_id = {m: i for i, (_, m) in enumerate(ordered)}
+    named, order = _member_labels(lattice.ground, lattice.members)
+    members = lattice.members
+    node_id = {members[i]: node for node, i in enumerate(order)}
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i, (labels, m) in enumerate(ordered):
-        name = ("{" + ",".join(labels) + "}").replace("\\", "\\\\").replace('"', '\\"')
-        label = f"{name}\\n{format_rational(rank[m])}"
-        lines.append(f'  n{i} [label="{label}"];')
+    for node, i in enumerate(order):
+        name = ("{" + ",".join(named[i]) + "}").replace("\\", "\\\\").replace('"', '\\"')
+        label = f"{name}\\n{format_rational(lattice.ranks[i])}"
+        lines.append(f'  n{node} [label="{label}"];')
     for low, high in sorted((node_id[a], node_id[b]) for a, b in lattice.covers()):
         lines.append(f"  n{low} -> n{high};")
     lines.append("}")

@@ -154,12 +154,16 @@ class RankedLattice:
         offending pair and the reason.
         """
         raw: dict[int, Fraction] = {}
+        full = ground.full
         for mask, rank in family:
-            ground.check_mask(mask)
+            # a plain int in range and a Fraction pass as they are; anything
+            # else takes the checks that refuse it
+            if type(mask) is not int or not 0 <= mask <= full:
+                ground.check_mask(mask)
             if mask in raw:
                 raise DuplicateElement(f"duplicate member {ground.describe(mask)}")
-            value = to_fraction(rank)
-            if value < 0:
+            value = rank if type(rank) is Fraction else to_fraction(rank)
+            if value.numerator < 0:
                 raise LatticeError(f"negative rank {value} for member {ground.describe(mask)}")
             raw[mask] = value
         self._sort(ground, raw)

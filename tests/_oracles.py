@@ -11,10 +11,14 @@ from fractions import Fraction
 from polyflats import (
     AxiomWitness,
     ConditionReport,
+    DuplicateElement,
     ExpansionMap,
     GroundSet,
+    LatticeError,
     NotALattice,
+    PolyflatsError,
     PolymatroidReport,
+    RankedLattice,
     SetFunction,
     Verdict,
     Witness,
@@ -23,15 +27,20 @@ from polyflats import (
     check_polymatroid,
     convolve,
     is_cyclic_flat,
+    to_fraction,
 )
 from polyflats.files import (
     FileFormatError,
     _ground_from_doc,
-    _ordered,
     format_rational,
     parse_rational,
     parse_subset_key,
 )
+
+
+def _ordered(ground: GroundSet, masks) -> list[tuple[tuple[str, ...], int]]:
+    """(sorted labels, mask) pairs in the file order: by cardinality, then labels."""
+    return sorted(((ground.sorted_labels(m), m) for m in masks), key=lambda p: (len(p[0]), p[0]))
 
 
 def monotone_all_pairs(f: SetFunction):
@@ -375,6 +384,63 @@ def polymatroid_from_doc_reference(doc) -> SetFunction:
         labels, _ = _ordered(ground, missing)[0]
         raise FileFormatError(f"missing subset {','.join(labels)!r}")
     return SetFunction(ground, values)
+
+
+def lattice_to_doc_reference(lattice) -> dict:
+    """Lattice document built as nested dicts, each member's labels sorted
+    where it stands and the members sorted into file order."""
+    for label in lattice.ground.names:
+        if "," in label:
+            raise FileFormatError(f"label {label!r} contains a comma; not serializable")
+    ground, rank = lattice.ground, dict(lattice.items())
+    return {
+        "ground": list(ground.names),
+        "elements": [
+            {"set": list(labels), "rank": format_rational(rank[m])}
+            for labels, m in _ordered(ground, lattice.members)
+        ],
+    }
+
+
+def ranked_lattice_reference(ground: GroundSet, family) -> RankedLattice:
+    """The public constructor's refusals, each member checked through
+    ``check_mask`` and ``to_fraction`` and the lattice laws by
+    ``pair_scan_reference``."""
+    raw = {}
+    for mask, rank in family:
+        ground.check_mask(mask)
+        if mask in raw:
+            raise DuplicateElement(f"duplicate member {ground.describe(mask)}")
+        value = to_fraction(rank)
+        if value < 0:
+            raise LatticeError(f"negative rank {value} for member {ground.describe(mask)}")
+        raw[mask] = value
+    if not raw:
+        raise LatticeError("empty family: a lattice needs at least one member")
+    pair_scan_reference(ground, raw.items())
+    return RankedLattice._from_family(ground, raw.items())
+
+
+def lattice_from_doc_reference(doc) -> RankedLattice:
+    """Lattice document read entry by entry, every rank text parsed where
+    it stands, the family checked by ``ranked_lattice_reference``."""
+    ground = _ground_from_doc(doc)
+    elements = doc.get("elements")
+    if not isinstance(elements, list):
+        raise FileFormatError("lattice document needs an 'elements' list")
+    family = []
+    for entry in elements:
+        if not isinstance(entry, dict) or "set" not in entry or "rank" not in entry:
+            raise FileFormatError(f"bad lattice element {entry!r}")
+        labels = entry["set"]
+        if not isinstance(labels, list):
+            raise FileFormatError(f"bad member set {labels!r}")
+        try:
+            mask = ground.subset(labels)
+        except PolyflatsError as exc:
+            raise FileFormatError(f"{exc} in member") from None
+        family.append((mask, parse_rational(entry["rank"])))
+    return ranked_lattice_reference(ground, family)
 
 
 def _split(mask: int, pivot: int, m: int) -> tuple[int, int]:

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from polyflats import (
+    DuplicateElement,
     GroundSet,
     InfiltrationSpec,
+    LatticeError,
     Measure,
     NotALattice,
     SetFunction,
@@ -32,12 +34,13 @@ from polyflats.files import (
     _ground_from_doc,
     _kept_order,
     _load,
-    _ordered,
+    _member_labels,
     dumps_canonical,
     expansion_to_doc,
     format_rational,
     lattice_dot,
     lattice_from_doc,
+    lattice_text,
     lattice_to_doc,
     measure_from_doc,
     measure_to_doc,
@@ -55,6 +58,7 @@ from polyflats.files import (
 
 import _oracles
 import corpus
+from _oracles import _ordered
 
 
 def test_rational_formats():
@@ -479,6 +483,148 @@ def test_a_plain_value_error_in_a_member_escapes_the_lattice_reader(monkeypatch)
     with pytest.raises(ValueError, match="^library bug$") as info:
         lattice_from_doc({"ground": ["x"], "elements": [{"set": ["x"], "rank": "0"}]})
     assert type(info.value) is ValueError
+
+
+def writer_lattices(count: int = 300):
+    """Seeded lattices on n = 0..6 labels drawn from ``AWKWARD_LABELS``,
+    declared out of sorted order: a few random masks closed under union
+    and intersection, with or without the empty set, so one-member
+    lattices and bottoms other than the empty set occur."""
+    rng = random.Random(26)
+    for i in range(count):
+        n = i % 7
+        ground = GroundSet(tuple(rng.sample(AWKWARD_LABELS, n)))
+        family = {rng.randrange(1 << n) for _ in range(rng.randrange(1, 5))}
+        if rng.random() < 0.5:
+            family.add(0)
+        while extra := {op for a in family for b in family for op in (a | b, a & b)} - family:
+            family |= extra
+        yield validate_lattice(ground, [
+            (m, Fraction(rng.randrange(12), rng.choice((1, 2, 3, 7)))) for m in sorted(family)
+        ])
+
+
+def test_lattice_writers_match_the_reference_writers(harvested_pairs):
+    lattices = [lattice for _, lattice, _ in harvested_pairs] + list(writer_lattices())
+    seen = set()
+    for lattice in lattices:
+        ground, members = lattice.ground, lattice.members
+        expected = _oracles.lattice_to_doc_reference(lattice)
+        assert lattice_text(lattice) == dumps_canonical(expected)
+        assert lattice_to_doc(lattice) == expected
+        assert lattice_dot(lattice) == _oracles.dot_reference(lattice)
+        named, order = _member_labels(ground, members)
+        assert named == tuple(map(ground.sorted_labels, members))
+        assert [members[i] for i in order] == [m for _, m in _ordered(ground, members)]
+        seen.add("empty ground" if not ground.n else "one member" if len(lattice) == 1 else
+                 "empty set" if members[0] == 0 else "other bottom")
+        if list(ground.names) != sorted(ground.names):
+            seen.add("unsorted labels")
+        if any(json.dumps(name)[1:-1] != name for name in ground.names):
+            seen.add("escaped labels")
+    assert seen == {
+        "empty ground", "one member", "empty set", "other bottom", "unsorted labels", "escaped labels"
+    }
+
+
+def _lattice_outcome(read, *args):
+    try:
+        lattice = read(*args)
+    except Exception as exc:  # the refusal itself is what is compared
+        return type(exc), str(exc)
+    return lattice.ground.names, lattice.members, lattice.ranks
+
+
+class _Entry(dict):
+    pass
+
+
+def _lattice_mutations(doc, rng):
+    """Copies of a lattice document, each with one entry or the family
+    broken or changed in one way."""
+    ground, entries = doc["ground"], doc["elements"]
+
+    def with_entries(new_entries):
+        return {"ground": ground, "elements": new_entries}
+
+    def replaced(at, entry):
+        return with_entries(entries[:at] + [entry] + entries[at + 1:])
+
+    yield with_entries([])
+    yield with_entries(entries[:-1])  # no top
+    yield with_entries(entries[1:])  # no bottom
+    yield with_entries(entries + [entries[rng.randrange(len(entries))]])  # a repeated member
+    yield with_entries([{"set": e["set"], "rank": "1/2"} for e in entries])  # one shared text
+    yield with_entries([{"set": e["set"], "rank": "-1/2"} for e in entries])
+    for at in rng.sample(range(len(entries)), min(3, len(entries))):
+        entry = entries[at]
+        labels, text = entry["set"], entry["rank"]
+        for bad in (None, "x", ["a"], (labels, text)):
+            yield replaced(at, bad)
+        yield replaced(at, _Entry(entry))
+        yield replaced(at, {"set": labels})
+        yield replaced(at, {"rank": text})
+        yield replaced(at, {"set": tuple(labels), "rank": text})
+        yield replaced(at, {"set": "".join(labels), "rank": text})
+        yield replaced(at, {"set": labels + ["zz"], "rank": text})
+        if labels:
+            yield replaced(at, {"set": labels + labels[:1], "rank": text})
+        for rank in ("-1", "1.5", "1/0", "9" * 5000, 3, 1.5, None, True, [1], {"p": 1}):
+            yield replaced(at, {"set": labels, "rank": rank})
+        # a text shared with later members, refused at its first
+        yield with_entries(
+            entries[:at] + [{"set": e["set"], "rank": "2/0"} for e in entries[at:]]
+        )
+
+
+def test_lattice_reader_refuses_as_the_reference_reader(harvested_pairs):
+    rng = random.Random(6)
+    docs = [_oracles.lattice_to_doc_reference(lattice) for _, lattice, _ in harvested_pairs[::8]]
+    docs += [_oracles.lattice_to_doc_reference(lattice) for lattice in writer_lattices(60)]
+    outcomes = set()
+    for doc in docs:
+        for changed in (doc, *_lattice_mutations(doc, rng)):
+            outcome = _lattice_outcome(lattice_from_doc, changed)
+            assert outcome == _lattice_outcome(_oracles.lattice_from_doc_reference, changed)
+            outcomes.add(outcome[0] if isinstance(outcome[0], type) else "read")
+    assert outcomes == {"read", FileFormatError, DuplicateElement, LatticeError, NotALattice}
+
+
+def test_lattice_constructor_refuses_as_the_reference_constructor():
+    g = GroundSet(("x", "y"))
+    families = [
+        [(0, 0), (3, 1.5)],
+        [(0, 0), (3, 2)],
+        [(0, "0"), (3, "3/2")],
+        [(0, "x"), (3, 1)],
+        [(0, "1/0"), (3, 1)],
+        [(0, -1), (3, 1)],
+        [(0, Fraction(-1, 2)), (3, 1)],
+        [(False, 0), (True, 1), (3, 1)],
+        [(0, 0), (True, 1), (1, 1), (3, 1)],
+        [(0, 0), (4, 1)],
+        [(-1, 0), (3, 1)],
+        [(0, 0), ("3", 1)],
+        [(0, 0), (3.0, 1)],
+        [(0, 0), (1, 1), (2, 1)],
+        [],
+    ]
+    for family in families:
+        assert _lattice_outcome(validate_lattice, g, family) == _lattice_outcome(
+            _oracles.ranked_lattice_reference, g, family
+        )
+    expected = {
+        0: (TypeError, "refusing float 1.5: the library is exact-only"),
+        3: (model.InputError, "bad rational 'x'"),
+        5: (LatticeError, "negative rank -1 for member {}"),
+        8: (DuplicateElement, "duplicate member {x}"),
+        9: (model.PolyflatsError, "mask 4 is outside the ground set (n=2)"),
+        11: (model.PolyflatsError, "mask '3' is not an int"),
+    }
+    for at, outcome in expected.items():
+        assert _lattice_outcome(validate_lattice, g, families[at]) == outcome
+    # a bool mask passes the mask check as the int it equals
+    assert validate_lattice(g, families[7]).members == (False, True, 3)
 
 
 def test_measure_doc_round_trip():
