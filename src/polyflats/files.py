@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .constructions import ExpansionMap
-from .lattice import RankedLattice, validate_lattice
+from .lattice import RankedLattice, _covers, validate_lattice
 from .model import (
     FileFormatError,
     GroundSet,
@@ -412,7 +412,7 @@ def lattice_dot(lattice: RankedLattice) -> str:
         name = ("{" + ",".join(named[i]) + "}").replace("\\", "\\\\").replace('"', '\\"')
         label = f"{name}\\n{format_rational(lattice.ranks[i])}"
         lines.append(f'  n{node} [label="{label}"];')
-    for low, high in sorted((node_id[a], node_id[b]) for a, b in lattice.covers()):
+    for low, high in sorted((node_id[a], node_id[b]) for a, b in _covers(members)):
         lines.append(f"  n{low} -> n{high};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -54,18 +54,18 @@ their union.  Each hull is a subset-cube transform of n whole-table passes
 on packed fields, so both take O(n·2^n) word operations whatever k is.
 
 The hulls also certify a whole family at once: it is a lattice if and only
-if inner[X] is a member at every X with outer[X] = X, and outer[U] is a
-member at every U with inner[U] = U.  If: the intersection X of a pair has
-outer[X] = X, since both members contain X, and their union U has
-inner[U] = U, so every pair has a meet and a join.  Only if: a lattice has
-a top T and a bottom B.  Take X with outer[X] = X.  If no member contains
-X, then X = E and inner[E] = T.  Otherwise X is the intersection of the
-members S containing it, so the members inside X are the common lower
-bounds of S, and their union is the meet of S, a member.  Dually, take U
-with inner[U] = U.  If no member lies inside U, then U = {} and
-outer[{}] = B; otherwise the members containing U are the common upper
-bounds of the members inside U, and their intersection is the join of
-those, a member.
+if inner[outer[X]] is a member at every mask X.  If: X = E has outer[E] = E,
+so inner[E], the union of all members, is a member, a top.  The
+intersection X of a pair has outer[X] = X, since both members contain X,
+so inner[X] is a member, and it is the pair's meet.  A finite family with
+a top in which every pair has a meet is a lattice: the join of a pair is
+the meet of its common upper bounds, which include the top.  Only if: a
+lattice has a top T.  If no member contains X, then outer[X] = E and
+inner[E] = T.  Otherwise outer[X] is the intersection of the members S
+containing X, so the members inside it are the common lower bounds of S,
+and their union is the meet of S, a member.  No mask need be filtered out:
+outer is idempotent, so the test at X repeats the test at the mask
+outer[X], where outer[X] = X.
 
 The certificate reads the 2^n masks and the pair pass the k(k-1)/2 pairs,
 each with a few C-level ``map`` steps, so the constructor takes the
@@ -75,8 +75,8 @@ family that fails it goes through the pair pass too, which names the first
 pair in member order without a meet or a join, the meet asked for first.
 A lattice holds only its members, ranks and hulls.  The hulls are built on
 first use and kept, so a lattice the library builds only for a convolution
-pays for none; the containment order that C2, C* and ``covers`` read is
-built by each call that reads it.
+pays for none; the containment order that C2, C* and the Hasse diagram
+read is built by each call that reads it.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, compress, repeat, starmap
+from itertools import combinations, compress, repeat, starmap
 from operator import add, and_, eq, ge, gt, le, lt, not_, or_, sub
 from typing import Iterable, Iterator
 
@@ -250,17 +250,6 @@ class RankedLattice:
         self._require(second)
         return self._hulls()[1][first | second]
 
-    def covers(self) -> list[tuple[int, int]]:
-        """The Hasse relation: (low, high) member pairs, high covering low,
-        read off a containment scan of its own."""
-        below, above = _containment(self.members)
-        out = []
-        for i, up in enumerate(above):
-            for j in bits(up & ~(1 << i)):
-                if up & below[j] == 1 << i | 1 << j:
-                    out.append((self.members[i], self.members[j]))
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedLattice):
             return NotImplemented
@@ -295,15 +284,23 @@ def _containment(members: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(below), tuple(above)
 
 
+def _covers(members: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The Hasse relation of members in member order: (low, high) member
+    pairs, high covering low, read off a containment scan of its own."""
+    below, above = _containment(members)
+    out = []
+    for i, up in enumerate(above):
+        for j in bits(up & ~(1 << i)):
+            if up & below[j] == 1 << i | 1 << j:
+                out.append((members[i], members[j]))
+    return out
+
+
 def _certified(member: set[int], inner: memoryview, outer: memoryview) -> bool:
     """Whether the family of ``member`` is a lattice, read off its hulls:
-    inner[X] is a member at every X with outer[X] == X, and outer[U] at
-    every U with inner[U] == U (see the module docstring)."""
-    cube = range(len(inner))
-    return all(map(member.__contains__, chain(
-        map(inner.__getitem__, compress(cube, map(eq, outer, cube))),
-        map(outer.__getitem__, compress(cube, map(eq, inner, cube))),
-    )))
+    inner[outer[X]] is a member at every mask X (see the module
+    docstring)."""
+    return all(map(member.__contains__, map(inner.__getitem__, outer)))
 
 
 def validate_lattice(
@@ -312,20 +309,6 @@ def validate_lattice(
     """Check a ranked family from outside the library and build its lattice:
     ``RankedLattice(ground, elements)``, whose refusals it raises."""
     return RankedLattice(ground, elements)
-
-
-def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
-    """Shift every rank down by the bottom rank, making the bottom zero.
-
-    The nested-difference and pair conditions (C2, C*, C3) are invariant
-    under this shift.  If some member ranked below the bottom, the result
-    carries a negative rank, which C2 then flags; ranks are not checked
-    here, so the shift never raises.
-    """
-    base = lattice.ranks[0]
-    if base == 0:
-        return lattice
-    return RankedLattice._from_family(lattice.ground, ((m, r - base) for m, r in lattice.items()))
 
 
 @dataclass(frozen=True)

@@ -756,3 +756,17 @@ def block_union(emap: ExpansionMap, original_mask: int) -> int:
 def subset_key(ground: GroundSet, mask: int) -> str:
     """A subset's key in a rank file: its labels, sorted, joined by commas."""
     return ",".join(ground.sorted_labels(mask))
+
+
+def normalize_pointed(lattice: RankedLattice) -> RankedLattice:
+    """Shift every rank down by the bottom rank, making the bottom zero.
+
+    The nested-difference and pair conditions (C2, C*, C3) are invariant
+    under this shift.  If some member ranked below the bottom, the result
+    carries a negative rank, which C2 then flags; ranks are not checked
+    here, so the shift never raises.
+    """
+    base = lattice.ranks[0]
+    if base == 0:
+        return lattice
+    return RankedLattice._from_family(lattice.ground, ((m, r - base) for m, r in lattice.items()))

@@ -15,13 +15,13 @@ from polyflats import (
     Measure,
     NotALattice,
     RankedLattice,
+    bits,
     check_conditions,
     cyclic_flats,
     graphic_matroid,
     helgason_expand,
     helgason_lattice,
     infiltrate_via_lattices,
-    normalize_pointed,
     reconstruction_failure,
     validate_lattice,
 )
@@ -336,11 +336,11 @@ def test_condition_witnesses_recompute_on_random_pairs():
 def test_normalize_pointed():
     g = ground("xy")
     lat = validate_lattice(g, [(0, 1), (0b11, 4)])
-    fixed = normalize_pointed(lat)
+    fixed = _oracles.normalize_pointed(lat)
     assert fixed.rank_of(0) == 0
     assert fixed.rank_of(0b11) == 3
     already = validate_lattice(g, [(0, 0), (0b11, 3)])
-    assert normalize_pointed(already) is already
+    assert _oracles.normalize_pointed(already) is already
 
 
 def test_normalize_pointed_keeps_relative_conditions():
@@ -350,7 +350,7 @@ def test_normalize_pointed_keeps_relative_conditions():
         shifted = corpus.shift_up(lat, Fraction(5, 2))
         rep = check_conditions(shifted, mu)
         assert not rep.c1.passed
-        back = normalize_pointed(shifted)
+        back = _oracles.normalize_pointed(shifted)
         rep2 = check_conditions(back, mu)
         assert rep2.c1.passed
         assert rep.c2.passed == rep2.c2.passed
@@ -588,6 +588,56 @@ def test_order_bitsets_match_pair_scan_on_random_families():
         for reason in (None, "no unique lower bound", "no unique upper bound"):
             assert outcomes[path, reason] > 150, (path, reason)
     print(f"order parity on 4000 random families: {dict(outcomes)}")
+    # the certificate's edge cases: meet-closed families without a top (the
+    # intersection closure of random masks when it misses their union, and
+    # all proper subsets of E) and their complements, join-closed without a
+    # bottom; chains; every family on 0-2 elements.  A chain has k <= n + 1
+    # members, so k(k-1)/2 < 2^n and it never takes the certificate; the
+    # helper tests the certificate on it all the same
+    edges = collections.Counter()
+
+    def edge(kind, g, masks):
+        path, reason = _order_matches_pair_scan(g, [(m, rng.randrange(3)) for m in masks])
+        edges[kind, path, reason] += 1
+
+    for n in range(2, 7):
+        g = ground("abcdef"[:n])
+        for tries in range(25):
+            if tries == 0:
+                generators = [g.full & ~(1 << i) for i in range(n)]
+            else:
+                generators = rng.sample(range(1, g.full), rng.randint(2, min(5, g.full - 1)))
+            closed = set(generators)
+            for a in generators:
+                closed |= {a & b for b in closed}
+            union = 0
+            for m in closed:
+                union |= m
+            if union in closed:
+                continue
+            edge("meet-closed, no top", g, closed)
+            edge("join-closed, no bottom", g, {g.full ^ m for m in closed})
+        for _ in range(10):
+            order = rng.sample(range(n), n)
+            prefixes = rng.sample(range(n + 1), rng.randint(1, n + 1))
+            edge("chain", g, {sum(1 << e for e in order[:size]) for size in prefixes})
+    for n in range(3):
+        g = ground("ab"[:n])
+        for family in range(1, 1 << (1 << n)):
+            edge("ground of 0-2 elements", g, bits(family))
+    top, bottom = "no unique upper bound", "no unique lower bound"
+    seen = collections.defaultdict(set)
+    for kind, path, reason in edges:
+        seen[kind].add((path, reason))
+    assert seen == {
+        "meet-closed, no top": {("certificate", top), ("pair pass", top)},
+        "join-closed, no bottom": {("certificate", bottom), ("pair pass", bottom)},
+        "chain": {("pair pass", None)},
+        "ground of 0-2 elements": {
+            ("certificate", None), ("pair pass", None), ("pair pass", top), ("pair pass", bottom)
+        },
+    }
+    print(f"order parity on the certificate's edge cases: {dict(edges)}")
 
 
 def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
@@ -599,8 +649,8 @@ def test_order_bitsets_match_pair_scan_on_corpus_and_block_lattices():
 
 
 def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
-    # cyclic_flats, helgason_lattice, infiltrate_via_lattices and
-    # normalize_pointed build their lattices through the unchecked
+    # cyclic_flats, helgason_lattice, infiltrate_via_lattices and the
+    # oracle normalize_pointed build their lattices through the unchecked
     # _from_family.  The checking constructor must accept each family and
     # give back the same lattice, and the containment order of its members
     # must be the relation the reference scan finds
@@ -620,7 +670,7 @@ def test_lattices_the_library_builds_pass_the_lattice_law_check(monkeypatch):
 
     for _, lat, _ in corpus.harvested():
         check(lat, "cyclic flats")
-        check(normalize_pointed(corpus.shift_up(lat, Fraction(3, 2))), "pointed")
+        check(_oracles.normalize_pointed(corpus.shift_up(lat, Fraction(3, 2))), "pointed")
     for n in range(1, 11):
         for seed in range(4):
             check(cyclic_flats(corpus.rational_sum_table(seed, n))[0], "cyclic flats")
@@ -675,7 +725,7 @@ def test_validation_conditions_and_covers_build_the_order_once(monkeypatch):
     report = check_conditions(lat, Measure(mu.ground, [0] * mu.ground.n))
     assert not report.cstar and not report.c2
     assert len(orders) == 2
-    assert lat.covers()
+    assert lattice._covers(lat.members)
     assert len(orders) == 3
     assert orders[0] == orders[1] == orders[2] == _oracles.order_bitsets_reference(lat.members)
 
@@ -685,7 +735,7 @@ def test_normalize_pointed_keeps_a_rank_below_the_bottom():
     # negative, C2 reports it, and nothing raises
     g = ground("xy")
     lat = validate_lattice(g, [(0, 2), (0b01, 1), (0b11, 3)])
-    shifted = normalize_pointed(lat)
+    shifted = _oracles.normalize_pointed(lat)
     assert shifted.members == lat.members and shifted.ranks == (0, -1, 1)
     assert lattice._containment(shifted.members) == _oracles.order_bitsets_reference(lat.members)
     rep = check_conditions(shifted, Measure(g, [1, 1]))
@@ -702,7 +752,7 @@ def test_boolean_lattice_on_ten_elements():
         a, b = rng.randrange(1024), rng.randrange(1024)
         assert lat.meet(a, b) == a & b
         assert lat.join(a, b) == a | b
-    covers = lat.covers()
+    covers = lattice._covers(lat.members)
     assert len(covers) == 10 * 512
     assert all(low & ~high == 0 and (high ^ low).bit_count() == 1 for low, high in covers)
 
